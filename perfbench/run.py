@@ -4,21 +4,22 @@
     python3 perfbench/run.py --workload all --seed 1 --seconds 15 --trace 0
 
 Run from the root of a checkout; weilkit is imported from its `src/`.  A run
-sets up three times (fresh import of weilkit plus the workload's inputs) and
-reports the median as setup_s, runs one untimed round whose outputs are
-checked, then times whole rounds until --seconds have passed and at least
-the workload's minimum number of rounds is done.  With --trace 0 the last
-line of stdout is one JSON object with the end-to-end metrics; with
---trace 1 the first half of the time runs untraced and the rest traced, and
-the object holds the per-layer metrics and the tracing overhead.  The exit
-code is 0 when every check passed, 1 when one failed and 2 when weilkit
-cannot be imported from the checkout.  Results and spans are written under
-perfbench/out/.
+sets up (fresh import of weilkit plus the workload's inputs), runs one
+untimed round whose outputs are checked, then times whole rounds until
+--seconds have passed and at least the workload's minimum number of rounds
+is done.  With --trace 0 the timed rounds come in four equal parts with a
+set-up after each, and setup_s is the median of the five set-ups; the last
+line of stdout is one JSON object with the end-to-end metrics.  With
+--trace 1 untraced and traced rounds take turns, and the object holds the
+per-layer metrics and the tracing overhead.  The exit code is 0 when every
+check passed, 1 when one failed and 2 when weilkit cannot be imported from
+the checkout.  Results and spans are written under perfbench/out/.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -40,7 +41,10 @@ MODULES = (
     "intpoly", "intmatrix", "gfpoly", "hensel", "zfactor", "padic", "padicorders",
     "weil", "hondatate", "central_orders", "dieudonne", "supersingular", "cli",
 )
-SETUPS = 3
+# set-ups in an untraced run: one before the timed rounds and one after each
+# of SETUPS - 1 equal parts of them, so that set-up is sampled across the
+# run, as the operations are, and not only in the machine's state at its start
+SETUPS = 5
 
 
 class MissingProgram(Exception):
@@ -62,6 +66,30 @@ class Weilkit:
         where = Path(sys.modules["weilkit"].__file__).resolve()
         if SRC.resolve() not in where.parents:
             raise MissingProgram("weilkit imported from %s, not from %s" % (where, SRC))
+        self.modules = {n: m for n, m in sys.modules.items() if n == "weilkit" or n.startswith("weilkit.")}
+
+    def restore(self):
+        """Make these modules the ones `import weilkit...` finds again, as a
+        later Weilkit() replaces them; functions that import inside their
+        bodies then keep meeting the modules their workload was built on."""
+        for name in [n for n in sys.modules if n == "weilkit" or n.startswith("weilkit.")]:
+            del sys.modules[name]
+        sys.modules.update(self.modules)
+
+
+def calibrate():
+    """Best of ten runs of a fixed pure-Python integer loop, in ms.  It does
+    not touch weilkit, so when it moves between two runs the machine's speed
+    moved, not the program's; run_one prints it to stderr before set-up and
+    after the timed rounds."""
+    best = float("inf")
+    for _ in range(10):
+        t0 = perf_counter()
+        acc = 0
+        for i in range(100_000):
+            acc = (acc * 31 + i) % 1_000_003
+        best = min(best, perf_counter() - t0)
+    return best * 1e3
 
 
 def quantile(values, q):
@@ -98,13 +126,26 @@ class Round:
         return sum(1 for _k, _t, bad in self.times if bad)
 
 
-def run_rounds(workload, until, min_rounds, tracer=None):
-    rounds, spans = [], []
+def run_rounds(workload, until, min_rounds):
+    rounds = []
     while len(rounds) < min_rounds or perf_counter() < until:
         rounds.append(Round(workload, keep_outputs=False))
-        if tracer is not None:
-            spans.append(tracer.take())
-    return rounds, spans
+    return rounds
+
+
+def run_traced(workload, until, tracer):
+    """Untraced and traced rounds in turn, so that both see the same states
+    of the machine and their ratio is the tracing overhead alone."""
+    untraced, traced, spans = [], [], []
+    while not traced or perf_counter() < until:
+        untraced.append(Round(workload, keep_outputs=False))
+        tracer.install()
+        try:
+            traced.append(Round(workload, keep_outputs=False))
+        finally:
+            tracer.remove()
+        spans.append(tracer.take())
+    return untraced, traced, spans
 
 
 def best_times(rounds):
@@ -167,32 +208,38 @@ def run_one(args):
     cls = workloads.WORKLOADS[args.workload]
     workdir = OUT / ("run-%d" % os.getpid())
     workdir.mkdir(parents=True, exist_ok=True)
+    setups = []
+
+    def set_up():
+        t0 = perf_counter()
+        built = cls(Weilkit(), args.seed, str(workdir))
+        setups.append(perf_counter() - t0)
+        return built
+
     try:
-        setups = []
-        for _ in range(SETUPS):
-            t0 = perf_counter()
-            wk = Weilkit()
-            workload = cls(wk, args.seed, str(workdir))
-            setups.append(perf_counter() - t0)
-        setup_s = statistics.median(setups)
-        print("%s: %d operations a round, set-up %s s" % (
-            args.workload, len(workload.ops()), ", ".join("%.3f" % s for s in setups)), file=sys.stderr)
+        calibration = [calibrate()]
+        workload = set_up()
+        print("%s: %d operations a round" % (args.workload, len(workload.ops())), file=sys.stderr)
         first = Round(workload, keep_outputs=True)  # untimed; its outputs are checked
         start = perf_counter()
         traced, spans = [], []
         if args.trace:
             import tracing
 
-            untraced, _ = run_rounds(workload, start + args.seconds / 2, 1)
-            tracer = tracing.Tracer()
-            tracer.install()
-            try:
-                traced, spans = run_rounds(workload, start + args.seconds, 1, tracer)
-            finally:
-                tracer.remove()
+            untraced, traced, spans = run_traced(workload, start + args.seconds, tracing.Tracer())
         else:
-            untraced, _ = run_rounds(workload, start + args.seconds, cls.min_rounds)
+            untraced = []
+            parts = SETUPS - 1
+            for part in range(parts):
+                untraced += run_rounds(workload, start + args.seconds * (part + 1) / parts,
+                                       -(-cls.min_rounds // parts))
+                set_up()
+                workload.wk.restore()
+                gc.collect()  # free the discarded set-up now, not whenever gc would
+            print("%s: set-up %s s" % (args.workload, ", ".join("%.3f" % s for s in setups)), file=sys.stderr)
+        setup_s = statistics.median(setups)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        calibration.append(calibrate())
         rounds = untraced + traced
         metrics = (per_layer(untraced, traced, spans) if args.trace
                    else end_to_end(untraced, workload, setup_s, peak_rss_mb))
@@ -206,6 +253,8 @@ def run_one(args):
         print("%s: %d timed rounds, %d timed operations, tail percentile %.4g, first-round failures %d" % (
             args.workload, len(rounds), lat_count, 100 * tail_quantile(workload, first.times),
             first.failed), file=sys.stderr)
+        print("%s: calibration loop %.2f ms before set-up, %.2f ms after the timed rounds" % (
+            args.workload, *calibration), file=sys.stderr)
         result = {
             "correct": not problems,
             "attempted": sum(len(r.times) for r in rounds),

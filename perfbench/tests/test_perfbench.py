@@ -58,9 +58,7 @@ def test_one_round_passes_every_check(tiny, name):
     if name == "cli":
         # the five malformed requests, each as miss, hit and verify
         assert len(failed) == 15
-        assert {k.split("|", 1)[1] for k in failed} == {
-            w._label(argv) for argv, code in w.requests if code == 1
-        }
+        assert {k.split("|", 1)[1] for k in failed} == {w._label(argv) for argv, _code in w.known_faults}
     else:
         assert failed == []
 
@@ -155,6 +153,13 @@ def test_invariant_checks_reject(tiny):
     _w, rec9 = record_for(tiny, 9, 4)
     bad = dataclasses.replace(rec9, s=4, multiplicity=1, dim=8)
     assert has(check(bad), "s does not divide lcm(r, 2)")
+    # s = 2 where every local invariant is integral and no place is real
+    _w, rec4 = next(
+        (w, r) for w, r in (record_for(tiny, q, 4) for q in (3, 4, 9))
+        if r.s == 1 and r.real_place_count == 0
+    )
+    doubled = dataclasses.replace(rec4, s=2, multiplicity=rec4.multiplicity // 2, dim=4)
+    assert has(check(doubled), "s != lcm of invariant denominators")
     _w, rec = ordinary_record(tiny)
     assert has(check(dataclasses.replace(rec, s=2, multiplicity=1, dim=4)), "ordinary class with s != 1")
     assert has(check(dataclasses.replace(rec, slope_kind="mixed")), "slope type")
@@ -214,8 +219,9 @@ def test_order_checks_reject(tiny):
     assert has(problems_after(w, rnd.outputs, idx, bad), "F V != q")
     w, rnd, idx, order = structure_output(tiny, "order:9:((9, 0, 1),)")
     scaled = tuple(tuple(3 * c for c in v) for v in order.basis_vectors)
-    assert has(problems_after(w, rnd.outputs, idx, dataclasses.replace(order, basis_vectors=scaled)),
-               "index")
+    found = problems_after(w, rnd.outputs, idx, dataclasses.replace(order, basis_vectors=scaled))
+    assert has(found, "index")
+    assert has(found, "F, V or 1 is not in the order")
 
 
 def test_component_check_rejects(tiny):
@@ -263,31 +269,90 @@ def test_supersingular_checks_reject(tiny):
 
 
 def cli_output(tiny, mode, command):
+    """The first request whose label starts with `command`, in one mode."""
     w, rnd = tiny["cli"]
     for idx, (kind, _fn) in enumerate(w.ops()):
-        if kind.startswith("%s|%s " % (mode, command)):
+        if kind.startswith("%s|%s" % (mode, command)):
             return w, rnd, idx, kind, rnd.outputs[idx]
     raise LookupError(command)
 
 
+def cli_problems(tiny, command, response):
+    """Check a round in which every mode of one request gave `response`,
+    or `response(mode, code, text)` when it is callable."""
+    w, rnd = tiny["cli"]
+    outputs = list(rnd.outputs)
+    for mode in ("miss", "hit", "verify"):
+        _w, _r, i, _k, out = cli_output(tiny, mode, command)
+        code, text = out if isinstance(out, tuple) else (None, "")
+        outputs[i] = response(mode, code, text) if callable(response) else response
+    return w.check(outputs)
+
+
 def test_cli_checks_reject(tiny):
-    w, rnd, idx, kind, (code, text) = cli_output(tiny, "hit", "order")
+    w, rnd, idx, kind, (code, text) = cli_output(tiny, "hit", "order ")
     assert has(problems_after(w, rnd.outputs, idx, (code, text.replace("\n", "\n\n", 1))), "differs from the miss")
     assert w.failed(kind, (1, text))
     assert w.failed(kind, (code, text + text))
     # the same wrong payload in all three responses
-    for mode, edit, message in (
-        ("order", lambda t: t.replace('"q": 3', '"q": 4'), "order differs"),
-        ("order", lambda t: t.replace("weilkit/1", "weilkit/2"), "schema"),
-        ("order", lambda t: t.replace('"rejected": false', '"rejected": true'), "rejected flag"),
-        ("enumerate", lambda t: t.replace('"classes": [', '"classes": [[1],', 1), "classes is"),
-        ("components", lambda t: t.replace('"count": 2', '"count": 1'), "count is"),
+    for command, edit, message in (
+        ("order ", lambda t: t.replace('"q": 3', '"q": 4'), "order differs"),
+        ("order ", lambda t: t.replace("weilkit/1", "weilkit/2"), "schema"),
+        ("order ", lambda t: t.replace('"rejected": false', '"rejected": true'), "rejected flag"),
+        ("enumerate --q 3 --max-degree 4", lambda t: t.replace('"classes": [', '"classes": [[1],', 1), "classes is"),
+        ("components ", lambda t: t.replace('"count": 2', '"count": 1'), "count is"),
+        ("validate --q 3 ", lambda t: t.replace('"degree": 2', '"degree": 3'), "degree is"),
+        ("validate --q 2 ", lambda t: t.replace("real-root-outside-bound", "not-monic"), "reason is"),
+        ("invariants --q 32 ", lambda t: t.replace('"q": 32', '"q": 33'), "record differs"),
+        ("invariants --q 2 ", lambda t: t.replace("real-root-outside-bound", "not-monic"), "reason is"),
+        ("dieudonne-center --q 9 --poly 9,0,1 --precision 5", lambda t: t.replace('"passed": true', '"passed": false'),
+         "passed is"),
+        ("example-sec9 ", lambda t: t.replace('"lattice_classes": 2', '"lattice_classes": 3'), "lattice_classes is"),
+        ("gamma-witness ", lambda t: t.replace('"divisor": 20', '"divisor": 21'), "divisor is"),
+        ("ingest --q 2 --path ingest.csv", lambda t: t.replace('"valid": ', '"valid": 1'), "ingest report differs"),
     ):
-        outputs = list(rnd.outputs)
-        for m in ("miss", "hit", "verify"):
-            _w, _r, i, _k, (c, t) = cli_output(tiny, m, mode)
-            outputs[i] = (c, edit(t))
-        assert has(w.check(outputs), message), message
+        edited = cli_problems(tiny, command, lambda _m, c, t: (c, edit(t)))
+        assert has(edited, message), message
+
+
+def test_cli_checks_reject_failures(tiny):
+    w, _rnd = tiny["cli"]
+    # a documented request that fails, in one mode or in all three
+    _w, rnd, idx, _kind, (_code, text) = cli_output(tiny, "verify", "order ")
+    assert has(problems_after(w, rnd.outputs, idx, (1, text)), "only ['hit', 'miss'] succeeded")
+    assert has(cli_problems(tiny, "gamma-witness ", RuntimeError("raised")), "only [] succeeded")
+    # a known fault fixed in the miss only
+    fixed = error_document(w, "enumerate")
+    partial = cli_problems(tiny, "enumerate --q 3 --max-degree 5", lambda m, c, t: fixed if m == "miss" else (c, t))
+    assert has(partial, "only ['miss'] succeeded")
+    # exit 1 with a document that is not an error report
+    flagged = (1, fixed[1].replace('"error"', '"rejected": false, "error"'))
+    assert has(cli_problems(tiny, "enumerate --q 3 --max-degree 5", flagged), "without an error document")
+    # a rejection the library does not make
+    argv = ["validate", "--q", "9", "--poly", "9,0,1"]
+    assert w._agrees(argv, {"rejected": True}) == ["rejected, but the library accepts the class"]
+
+
+def error_document(w, command):
+    return 1, w.wk.cli._render({"schema": "weilkit/1", "command": command, "error": "bad request"})
+
+
+def test_cli_accepts_fixed_known_faults(tiny):
+    """Each known fault answered as documented passes every check and no
+    longer counts as failed."""
+    w, _rnd = tiny["cli"]
+    for argv, code in w.known_faults:
+        label = w._label(argv)
+        if code == 1:
+            response = error_document(w, argv[0])
+        else:
+            # the fixed answer to "--poly -3,1" is today's answer to "--poly=-3,1"
+            joined = argv[:3] + ["%s=%s" % tuple(argv[3:5])]
+            response = w._op(joined)()
+            assert response[0] == 0
+        for mode in ("miss", "hit", "verify"):
+            assert not w.failed("%s|%s" % (mode, label), response)
+        assert cli_problems(tiny, label, response) == [], label
 
 
 # -- tracing and the runner --------------------------------------------------------

@@ -543,8 +543,8 @@ class Cli(Workload):
     miss, a hit and a --verify-cache against a fresh cache directory."""
 
     name = "cli"
-    # 11 good requests x 3 = 33 successful operations a round; the tail is
-    # the third-costliest of them
+    # 11 good requests x 3 = 33 successful operations a round (until the
+    # known faults are fixed); the tail is the third-costliest of them
     tail_beyond = 2
     min_rounds = 5
 
@@ -553,7 +553,10 @@ class Cli(Workload):
         weil = wk.weil
         self._ipoly = wk.intpoly.IntPolynomial
         self.ctx2 = weil.GlobalContext.from_q(2)
-        q3 = [c for c in weil.enumerate_weil(weil.GlobalContext.from_q(3), 4) if c.degree == 4]
+        # degree-2 classes to validate: they cost the same to within a few
+        # percent, so the seed does not move latency_p50_ms, which sits among
+        # the misses of about 2 ms (a degree-4 class costs 2 to 3 ms)
+        q3 = [c for c in weil.enumerate_weil(weil.GlobalContext.from_q(3), 2) if c.degree == 2]
         q32 = weil.enumerate_weil(weil.GlobalContext.from_q(32), 2)
         q2 = weil.enumerate_weil(self.ctx2, 4)
         pick3 = _sample_half(q3, self.seed_key, lambda c: c.polynomial.coeffs)[0]
@@ -580,19 +583,26 @@ class Cli(Workload):
             (["gamma-witness", "--q", "32"], 0),
             (["enumerate", "--q", "3", "--max-degree", "4"], 0),
             (["ingest", "--q", "2", "--path", self.ingest_path, "--max-degree", "4"], 0),
-            # malformed requests: documented as exit 1 with one JSON document
+        ]
+        # requests that fail every time because of faults in the CLI: the
+        # first four raise out of run() instead of exiting 1 with one JSON
+        # document, and argparse takes "-3,1" for an option and exits 2,
+        # although x - 3 is a Weil class at q = 9.  They are counted as
+        # failed; once fixed, they are checked like the others.
+        self.known_faults = [
             (["enumerate", "--q", "3", "--max-degree", "5"], 1),
             (["dieudonne-center", "--q", "9", "--poly", "9,0,1", "--precision", "1"], 1),
             (["validate", "--q", "9", "--poly", "2,0,-1"], 1),
             (["ingest", "--q", "2", "--path", os.path.join(workdir, "missing.csv")], 1),
-            (["validate", "--q", "9", "--poly", "-3,1"], 1),
+            (["validate", "--q", "9", "--poly", "-3,1"], 0),
         ]
         self._ops = []
-        order = self._shuffle([(self._label(argv), (argv, code)) for argv, code in self.requests])
+        everything = self.requests + self.known_faults
+        order = self._shuffle([(self._label(argv), (argv, code)) for argv, code in everything])
         for label, (argv, code) in order:
             for mode, flags in (("miss", []), ("hit", []), ("verify", ["--verify-cache"])):
                 self._ops.append(("%s|%s" % (mode, label), self._op(flags + argv)))
-        self.expected_code = {self._label(argv): code for argv, code in self.requests}
+        self.expected_code = {self._label(argv): code for argv, code in everything}
         self.cache_dir = None
 
     def _label(self, argv):
@@ -632,17 +642,19 @@ class Cli(Workload):
         problems = []
         texts = {}
         for (kind, _fn), output in zip(self._ops, outputs):
-            if isinstance(output, BaseException) or self.failed(kind, output):
-                continue
             mode, label = kind.split("|", 1)
-            texts.setdefault(label, {})[mode] = output
-        for argv, code in self.requests:
+            if isinstance(output, BaseException) or self.failed(kind, output):
+                texts.setdefault(label, {})
+            else:
+                texts.setdefault(label, {})[mode] = output
+        known = {self._label(argv) for argv, _code in self.known_faults}
+        for argv, code in self.requests + self.known_faults:
             label = self._label(argv)
-            got = texts.get(label)
-            if not got:
-                continue
+            got = texts[label]
             if len(got) != 3:
-                problems.append("%s: only %s succeeded" % (label, sorted(got)))
+                # a known fault may fail in all three modes, nothing else may
+                if got or label not in known:
+                    problems.append("%s: only %s succeeded" % (label, sorted(got)))
                 continue
             miss = got["miss"][1]
             if got["hit"][1] != miss or got["verify"][1] != miss:
@@ -650,6 +662,9 @@ class Cli(Workload):
             doc = _one_document(miss)
             if doc.get("schema") != "weilkit/1" or doc.get("command") != argv[0]:
                 problems.append("%s: wrong schema or command" % label)
+            elif code == 1:
+                if set(doc) != {"schema", "command", "error"} or not isinstance(doc["error"], str):
+                    problems.append("%s: exit code 1 without an error document" % label)
             elif argv[0] != "ingest" and doc.get("rejected") != (code == 2):
                 # ingest's payload reuses "rejected" for its list of bad records
                 problems.append("%s: rejected flag does not match exit code %d" % (label, code))
