@@ -16,6 +16,7 @@ it and --verify-cache recomputes and compares byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -338,7 +339,10 @@ def cmd_ingest(args):
 # -- plumbing -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, and building it costs more than most cached requests."""
     parser = argparse.ArgumentParser(
         prog="weilkit",
         description="Exact Weil-number, Honda-Tate and Dieudonne-ring computations.",

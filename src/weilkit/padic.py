@@ -619,18 +619,13 @@ def decompose_places(poly, p, r, overrides=None):
     if overrides and key in overrides:
         triples = overrides[key]
         places = [make_place(e, f, val, r) for e, f, val in triples]
-        try:
-            _check_place_sums(places, poly, p)
-        except AssertionError as e:
-            raise IrregularPlacesError(
-                "override data failed invariant checks: %s" % e, poly=poly, p=p
-            )
+        _check_place_sums(places, poly, p, "override data")
         return sorted(places, key=lambda pl: (pl.root_valuation, pl.f, pl.e))
 
     if poly.degree == 1:
         val = Fraction(v_p(poly.coeffs[0], p))
         places = [make_place(1, 1, val, r)]
-        _check_place_sums(places, poly, p)
+        _check_place_sums(places, poly, p, "place data", partial=places)
         return places
 
     symmetric = _has_conjugation_symmetry(poly, q)
@@ -670,27 +665,29 @@ def decompose_places(poly, p, r, overrides=None):
             if pl.root_valuation < half
         ]
         places.extend(mirrored)
-    try:
-        _check_place_sums(places, poly, p)
-    except AssertionError as e:
-        raise IrregularPlacesError(
-            "place data failed invariant checks: %s" % e,
-            poly=poly,
-            p=p,
-            partial=places,
-        )
+    _check_place_sums(places, poly, p, "place data", partial=places)
     return sorted(places, key=lambda pl: (pl.root_valuation, pl.f, pl.e))
 
 
-def _check_place_sums(places, poly, p):
+def _check_place_sums(places, poly, p, source, partial=()):
+    """Raise IrregularPlacesError unless the place degrees sum to deg P and
+    the degree-weighted root valuations to v_p(P(0)).  The test is explicit
+    rather than an assert so that it also runs under python -O."""
     total_deg = sum(pl.degree for pl in places)
-    assert total_deg == poly.degree, "degrees sum to %d, expected %d" % (
-        total_deg,
-        poly.degree,
-    )
     vsum = sum(Fraction(pl.degree) * pl.root_valuation for pl in places)
     expected = v_p(abs(poly.coeffs[0]), p)
-    assert vsum == expected, "valuation sum %s, expected %s" % (vsum, expected)
+    if total_deg != poly.degree:
+        problem = "degrees sum to %d, expected %d" % (total_deg, poly.degree)
+    elif vsum != expected:
+        problem = "valuation sum %s, expected %s" % (vsum, expected)
+    else:
+        return
+    raise IrregularPlacesError(
+        "%s failed invariant checks: %s" % (source, problem),
+        poly=poly,
+        p=p,
+        partial=partial,
+    )
 
 
 # -- override files --------------------------------------------------------

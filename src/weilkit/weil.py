@@ -270,7 +270,15 @@ def weil_polynomial_from_trace(trace_poly, q):
 
 def validate_weil(poly, ctx):
     """Accept a monic integer polynomial as a Weil class or raise
-    NotWeilError with one of the four rejection reasons."""
+    NotWeilError with one of the four rejection reasons.
+
+    Once the functional equation holds and every root of the trace
+    polynomial Q lies in (-2 sqrt q, 2 sqrt q), irreducibility is decided on
+    Q of degree d instead of P of degree 2d: Q(beta) is totally real and
+    beta^2 - 4q totally negative, so P is irreducible exactly when Q is.
+    Any other polynomial is tested on P first, so that a reducible one is
+    rejected as reducible whatever else fails.
+    """
     if not isinstance(poly, IntPolynomial):
         poly = IntPolynomial(poly)
     if not poly.is_monic:
@@ -280,6 +288,16 @@ def validate_weil(poly, ctx):
         raise NotWeilError("reducible", "constant polynomial")
     if poly.coeffs[0] == 0:
         raise NotWeilError("reducible", "zero is a root")
+    n = poly.degree
+    d = n // 2
+    symmetric = n % 2 == 0 and all(
+        poly[d - k] == q ** k * poly[d + k] for k in range(1, d + 1)
+    )
+    qb = trace_polynomial(poly, q) if symmetric else None
+    if qb is not None and all_roots_in_open_surd_interval(qb, 2, q):
+        if not zfactor.is_irreducible(qb):
+            raise NotWeilError("reducible")
+        return WeilClass(ctx, poly, is_real=False, half_degree=d)
     if not zfactor.is_irreducible(poly):
         raise NotWeilError("reducible")
     if poly.degree == 1:
@@ -290,19 +308,11 @@ def validate_weil(poly, ctx):
     if poly.degree == 2 and poly == IntPolynomial((-q, 0, 1)):
         # the real class {+-sqrt q}; r odd here since x^2 - q is irreducible
         return WeilClass(ctx, poly, is_real=True, half_degree=None)
-    if poly.degree % 2:
-        raise NotWeilError(
-            "functional-equation-fails", "odd degree %d" % poly.degree
-        )
-    n = poly.degree
-    d = n // 2
-    for k in range(1, d + 1):
-        if poly[d - k] != q ** k * poly[d + k]:
-            raise NotWeilError("functional-equation-fails")
-    qb = trace_polynomial(poly, q)
-    if not all_roots_in_open_surd_interval(qb, 2, q):
-        raise NotWeilError("real-root-outside-bound")
-    return WeilClass(ctx, poly, is_real=False, half_degree=d)
+    if n % 2:
+        raise NotWeilError("functional-equation-fails", "odd degree %d" % n)
+    if not symmetric:
+        raise NotWeilError("functional-equation-fails")
+    raise NotWeilError("real-root-outside-bound")
 
 
 def is_weil(poly, ctx):
@@ -511,7 +521,13 @@ def enumerate_weil(ctx, max_degree):
     """All Weil classes of degree <= max_degree, sorted by (degree,
     coefficients).  Rational classes appear when r is even; the real class
     x^2 - q of odd r is validated but never enumerated, matching the
-    trace-polynomial parametrization."""
+    trace-polynomial parametrization.
+
+    Each candidate P(x) = x^d Q(x + q/x) is kept when its trace polynomial Q
+    is irreducible: every root beta of Q lies in (-2 sqrt q, 2 sqrt q), so
+    Q(beta) is totally real and beta^2 - 4q totally negative, a root pi of
+    x^2 - beta x + q generates a quadratic extension of Q(beta), and P is
+    irreducible exactly when Q is."""
     if max_degree % 2 or not 2 <= max_degree <= 8:
         raise ValueError("max_degree must be even and between 2 and 8")
     q = ctx.q
@@ -522,11 +538,11 @@ def enumerate_weil(ctx, max_degree):
             found.append(validate_weil(IntPolynomial((-eps * m, 1)), ctx))
     for d in range(1, max_degree // 2 + 1):
         for qb in _trace_polys_degree(d, q):
-            poly = weil_polynomial_from_trace(qb, q)
-            if not zfactor.is_irreducible(poly):
+            if not zfactor.is_irreducible(qb):
                 continue
             # the trace-polynomial construction already certifies the root
             # bound and functional equation
+            poly = weil_polynomial_from_trace(qb, q)
             found.append(WeilClass(ctx, poly, is_real=False, half_degree=d))
     found.sort(key=lambda c: c.sort_key())
     return found

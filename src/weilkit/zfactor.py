@@ -11,12 +11,16 @@ ten).
 from __future__ import annotations
 
 from itertools import combinations
+from math import isqrt
 
 from . import gfpoly as gp
 from .hensel import lift_factorization
 from .intpoly import IntPolynomial, divmod_exact, is_squarefree
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# the divisor scan of a cubic takes isqrt(|c0|) steps: about 0.1 ms at this
+# limit, against 0.2-0.5 ms for the general test
+_CUBIC_C0_LIMIT = 10 ** 6
 
 
 def _degree_sums(degrees):
@@ -32,8 +36,6 @@ def _mignotte_bound(poly):
     """Bound on the absolute coefficients of any monic factor."""
     norm_sq = sum(c * c for c in poly.coeffs)
     # ceil(sqrt()) via isqrt
-    from math import isqrt
-
     root = isqrt(norm_sq)
     if root * root < norm_sq:
         root += 1
@@ -53,8 +55,28 @@ def _degree_pattern(coeffs, p):
     ]
 
 
+def _has_integer_root(poly):
+    """Does a monic integer polynomial with nonzero constant term vanish at
+    a +-divisor of that term?"""
+    m = abs(poly.coeffs[0])
+    for d in range(1, isqrt(m) + 1):
+        if m % d == 0 and any(poly(t) == 0 for t in (d, -d, m // d, -m // d)):
+            return True
+    return False
+
+
 def is_irreducible(poly):
-    """Irreducibility over Q of a monic integer polynomial (degree <= 10)."""
+    """Irreducibility over Q of a monic integer polynomial (degree <= 10).
+
+    Degrees 2 and 3 are decided in integers: a monic quadratic is
+    irreducible iff its discriminant is not a square, and a monic cubic iff
+    it has no integer root, which divides c0 (a repeated root of a monic
+    integer cubic is an integer too).  Weil classes reach this function as
+    their trace polynomial Q rather than P(x) = x^d Q(x + q/x): when every
+    root beta of Q lies in (-2 sqrt q, 2 sqrt q), Q(beta) is totally real
+    and beta^2 - 4q totally negative, so [Q(pi):Q] = 2 [Q(beta):Q] and P is
+    irreducible exactly when Q is.
+    """
     if not poly.is_monic:
         raise ValueError("monic polynomial required")
     n = poly.degree
@@ -62,8 +84,14 @@ def is_irreducible(poly):
         return False
     if n == 1:
         return True
-    if poly.coeffs[0] == 0:
+    coeffs = poly.coeffs
+    if coeffs[0] == 0:
         return False  # x divides
+    if n == 2:
+        disc = coeffs[1] * coeffs[1] - 4 * coeffs[0]
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    if n == 3 and abs(coeffs[0]) <= _CUBIC_C0_LIMIT:
+        return not _has_integer_root(poly)
     if not is_squarefree(poly):
         return False
 

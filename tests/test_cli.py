@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +184,59 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["accepted"] is True
+
+
+def test_parser_reused_without_leaking_state(capsys, monkeypatch):
+    from weilkit.cli import build_parser
+
+    monkeypatch.delenv("WEILKIT_CACHE_DIR", raising=False)
+    two = ["order", "--q", "3", "--poly", "3,0,1", "--poly", "3,1,1"]
+    one = ["order", "--q", "3", "--poly", "3,0,1"]
+
+    def attempt(argv, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        try:
+            code = run(list(argv))
+        except SystemExit as e:
+            code = ("exit", e.code)
+        return code, capsys.readouterr().out
+
+    build_parser.cache_clear()
+    sequence = [
+        (["validate", "--q", "9", "--poly", "-3,1"], ("exit", 2)),
+        (two, 0),
+        (one, 0),
+        (two, 0),
+    ]
+    reused = [attempt(argv, fresh=False) for argv, _ in sequence]
+    assert [code for code, _ in reused] == [code for _, code in sequence]
+    assert reused[0][1] == ""
+    assert json.loads(reused[1][1])["basis_labels"] != json.loads(reused[2][1])["basis_labels"]
+    assert reused[3] == reused[1]
+    fresh = [attempt(argv, fresh=True) for argv, _ in sequence]
+    assert fresh == reused
+
+
+def test_override_checks_survive_optimized_mode(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            [{"poly": [9, 0, 1], "p": 3, "places": [{"e": 1, "f": 1, "val_num": 1, "val_den": 1}]}]
+        )
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("WEILKIT_CACHE_DIR", None)
+    argv = ["invariants", "--q", "9", "--poly", "9,0,1", "--overrides", str(bad)]
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", "import sys; from weilkit.cli import run; sys.exit(run(sys.argv[1:]))", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2, (flags, done.stdout, done.stderr)
+        doc = json.loads(done.stdout)
+        assert doc["rejected"] is True and doc["reason"] == "irregular"

@@ -250,3 +250,53 @@ def test_load_overrides_file(tmp_path):
     assert places_tuple(P(9, 3, 1), 3, 2, overrides=table) == [
         (2, 1, F(1), F(0))
     ]
+
+
+# -- the two place routes ----------------------------------------------------
+
+# classes whose places need the p-maximal-order route because one refinement
+# round of the Newton-polygon method cannot separate them
+ROUND2_CLASSES = (
+    (2, (8, -8, 2, 0, 1, -2, 1)),
+    (2, (8, -8, 6, -6, 3, -2, 1)),
+    (2, (8, -4, 0, 0, 0, -1, 1)),
+    (2, (8, 0, -2, -2, -1, 0, 1)),
+    (2, (8, 0, -2, 2, -1, 0, 1)),
+    (2, (8, 4, 0, 0, 0, 1, 1)),
+    (2, (8, 8, 2, 0, 1, 2, 1)),
+    (2, (8, 8, 6, 6, 3, 2, 1)),
+    (3, (9, 0, 3, 0, 1)),
+    (4, (16, -4, 4, -1, 1)),
+    (4, (16, 0, -4, 0, 1)),
+    (4, (16, 8, 1, 2, 1)),
+    (9, (81, 0, -9, 0, 1)),
+)
+
+
+def _newton_route_classes(count, seed):
+    from weilkit.weil import GlobalContext, enumerate_weil
+
+    round2 = set(ROUND2_CLASSES)
+    pool = []
+    for q, max_degree in ((2, 6), (3, 4), (4, 4), (9, 4), (32, 2)):
+        for cls in enumerate_weil(GlobalContext.from_q(q), max_degree):
+            key = (q, cls.polynomial.coeffs)
+            if cls.degree >= 2 and key not in round2:
+                pool.append(key)
+    return random.Random(seed).sample(pool, count)
+
+
+@pytest.mark.parametrize(
+    "q, coeffs",
+    ROUND2_CLASSES + tuple(_newton_route_classes(40, 3)),
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else "q%d" % v,
+)
+def test_place_routes_agree(q, coeffs):
+    from weilkit.padicorders import places_from_order
+    from weilkit.weil import GlobalContext
+
+    ctx = GlobalContext.from_q(q)
+    poly = IntPolynomial(coeffs)
+    got = sorted((pl.e, pl.f, pl.root_valuation) for pl in decompose_places(poly, ctx.p, ctx.r))
+    want = sorted((e, f, F(v)) for e, f, v in places_from_order(poly, ctx.p, ctx.r))
+    assert got == want
