@@ -63,19 +63,20 @@ def parse_poly(text):
     return IntPolynomial(coeffs)
 
 
+def _context(make, *values):
+    try:
+        return make(*values)
+    except ValueError as e:
+        raise RequestError(str(e))
+
+
 def parse_context(args):
     if args.q is not None and (args.p is not None or args.r is not None):
         raise RequestError("--q and --p/--r are mutually exclusive")
     if args.q is not None:
-        try:
-            return GlobalContext.from_q(args.q)
-        except ValueError as e:
-            raise RequestError(str(e))
+        return _context(GlobalContext.from_q, args.q)
     if args.p is not None and args.r is not None:
-        try:
-            return GlobalContext(args.p, args.r)
-        except ValueError as e:
-            raise RequestError(str(e))
+        return _context(GlobalContext, args.p, args.r)
     raise RequestError("specify --q or both --p and --r")
 
 
@@ -210,9 +211,9 @@ def cmd_dieudonne_center(args):
 
 def cmd_example_sec9(args):
     p = args.p
+    ctx = _context(GlobalContext, p, 2)
     if p % 4 != 3:
         raise DomainRejection({"p": p, "reason": "p must be 3 mod 4"})
-    ctx = GlobalContext(p, 2)
     cls = validate_weil(IntPolynomial((p * p, 0, 1)), ctx)
     rec = honda_tate_record(cls)
     order, center = endomorphism_order(p)

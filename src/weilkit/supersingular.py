@@ -12,7 +12,8 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 
 from .intmatrix import (
     IntegerMatrix,
@@ -21,6 +22,15 @@ from .intmatrix import (
     kernel_basis,
     rref_mod_p,
 )
+
+
+class VerificationError(AssertionError):
+    """An exact check of the supersingular engine failed."""
+
+
+def _verify(ok, message):
+    if not ok:
+        raise VerificationError(message)
 
 
 class GaussInt:
@@ -164,14 +174,9 @@ def verify_psi_relations(p):
         raise ValueError("p = 3 mod 4 required")
     f = psi_frobenius(p)
     v = psi_verschiebung(p)
-    if not mat_eq(mat_mul(f, v), _diag(GaussInt(p), GaussInt(p))):
-        raise AssertionError("psi(F) psi(V) != p")
-    if not mat_eq(mat_mul(v, f), _diag(GaussInt(p), GaussInt(p))):
-        raise AssertionError("psi(V) psi(F) != p")
-    if not mat_eq(
-        mat_add(mat_mul(f, f), mat_mul(v, v)), ZERO_MAT
-    ):
-        raise AssertionError("psi(F)^2 + psi(V)^2 != 0")
+    _verify(mat_eq(mat_mul(f, v), _diag(GaussInt(p), GaussInt(p))), "psi(F) psi(V) != p")
+    _verify(mat_eq(mat_mul(v, f), _diag(GaussInt(p), GaussInt(p))), "psi(V) psi(F) != p")
+    _verify(mat_eq(mat_add(mat_mul(f, f), mat_mul(v, v)), ZERO_MAT), "psi(F)^2 + psi(V)^2 != 0")
     # symbolic check over Z[i][A, Abar]
     a = _SymGauss.sym_a()
     abar = a.conj()
@@ -198,8 +203,7 @@ def verify_psi_relations(p):
         right = sym_mat_mul(diag_abar, m)
         for i in range(2):
             for j in range(2):
-                if left[i][j] != right[i][j]:
-                    raise AssertionError("%s is not sigma-semilinear" % name)
+                _verify(left[i][j] == right[i][j], "%s is not sigma-semilinear" % name)
     return True
 
 
@@ -219,15 +223,27 @@ def coords_to_matrix(v):
     )
 
 
+def _coord_mul(x, y):
+    """The product of two matrices of M_2(Z[i]) on their integer coordinates."""
+    out = []
+    for i in (0, 4):  # rows (a, b) and (c, d) of x
+        for j in (0, 2):  # columns (a, c) and (b, d) of y
+            re = im = 0
+            for s, t in ((i, j), (i + 2, j + 4)):
+                re += x[s] * y[t] - x[s + 1] * y[t + 1]
+                im += x[s] * y[t + 1] + x[s + 1] * y[t]
+            out += (re, im)
+    return tuple(out)
+
+
+def _congruent(x, p):
+    """p | c and a = conj(d) mod p, on integer coordinates."""
+    return not (x[4] % p or x[5] % p or (x[0] - x[6]) % p or (x[1] + x[7]) % p)
+
+
 def congruence_predicate(m, p):
     """p | c and a = conj(d) mod p."""
-    (a, b), (c, d) = m
-    return (
-        c.re % p == 0
-        and c.im % p == 0
-        and (a.re - d.re) % p == 0
-        and (a.im + d.im) % p == 0
-    )
+    return _congruent(matrix_to_coords(m), p)
 
 
 @dataclass(frozen=True)
@@ -239,37 +255,30 @@ class OrderPresentation:
     basis: tuple  # 8 rows of 8 ints
     index: int
     description: str
+    # (pivot column, row) of each nonzero basis row, by pivot column
+    _pivots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pivots = [(next(j for j, c in enumerate(r) if c), r) for r in self.basis if any(r)]
+        object.__setattr__(self, "_pivots", tuple(sorted(pivots)))
+
+    def _spans(self, coords):
+        """Whether the integer coordinates lie in the Z-span of the basis:
+        exact back-substitution on the echelon rows."""
+        work = list(coords)
+        for col, row in self._pivots:
+            c, rem = divmod(work[col], row[col])
+            if rem:
+                return False
+            work = [w - c * x for w, x in zip(work, row)]
+        return not any(work)
 
     def contains(self, m):
         """Membership via exact solve against the HNF basis."""
-        target = list(matrix_to_coords(m))
-        rows = [list(r) for r in self.basis]
-        # solve x * rows = target over Z by back-substitution on the HNF
-        coeffs = [0] * 8
-        work = list(target)
-        order = sorted(range(8), key=lambda i: _pivot_col(rows[i]))
-        for i in order:
-            col = _pivot_col(rows[i])
-            if col is None:
-                continue
-            num = work[col]
-            if num % rows[i][col]:
-                return False
-            c = num // rows[i][col]
-            coeffs[i] = c
-            for j in range(8):
-                work[j] -= c * rows[i][j]
-        return not any(work)
+        return self._spans(matrix_to_coords(m))
 
     def satisfies_predicate(self, m):
         return congruence_predicate(m, self.p)
-
-
-def _pivot_col(row):
-    for j, c in enumerate(row):
-        if c:
-            return j
-    return None
 
 
 def _congruence_lattice(p):
@@ -288,7 +297,7 @@ def _congruence_lattice(p):
     gens.append((0, 0, 0, 0, 0, 0, 0, p))
     h, _ = hermite_normal_form(IntegerMatrix(gens))
     rows = tuple(tuple(r) for r in h.rows if any(r))
-    assert len(rows) == 8
+    _verify(len(rows) == 8, "congruence lattice is not of full rank")
     index = det(IntegerMatrix(rows))
     return rows, abs(index)
 
@@ -298,24 +307,23 @@ def dieudonne_matrix_order(p):
     congruence order of index p^4, with closure and predicate verified."""
     verify_psi_relations(p)
     rows, index = _congruence_lattice(p)
-    assert index == p ** 4, "index is %d, expected p^4" % index
+    _verify(index == p ** 4, "index is %d, expected p^4" % index)
     order = OrderPresentation(
         p=p,
         basis=rows,
         index=index,
         description="p | c and a = conj(d) (mod p) in M_2(Z[i])",
     )
-    basis_mats = [coords_to_matrix(r) for r in rows]
-    for m in basis_mats:
-        assert order.satisfies_predicate(m)
-    for m1 in basis_mats:
-        for m2 in basis_mats:
-            prod = mat_mul(m1, m2)
-            assert order.satisfies_predicate(prod), "order not closed"
-            assert order.contains(prod), "product escapes the lattice"
+    for x in rows:
+        _verify(_congruent(x, p), "basis leaves the predicate")
+    for x in rows:
+        for y in rows:
+            prod = _coord_mul(x, y)
+            _verify(_congruent(prod, p), "order not closed")
+            _verify(order._spans(prod), "product escapes the lattice")
     # the generators psi(F), psi(V) lie in the order
-    assert order.contains(psi_frobenius(p))
-    assert order.contains(psi_verschiebung(p))
+    _verify(order.contains(psi_frobenius(p)), "psi(F) is not in the order")
+    _verify(order.contains(psi_verschiebung(p)), "psi(V) is not in the order")
     return order
 
 
@@ -324,7 +332,7 @@ def endomorphism_order(p):
     and identified as Z[ip] of index p in Z[i]."""
     order = dieudonne_matrix_order(p)
     center_rows = _center_lattice(order)
-    assert len(center_rows) == 2, "center rank must be 2"
+    _verify(len(center_rows) == 2, "center rank must be 2")
     # center = { (x + y*ip) * identity : x, y in Z }: the scalar z*I lies in
     # the order iff z = conj(z) mod p, i.e. p | Im(z)
     expected = [
@@ -335,23 +343,20 @@ def endomorphism_order(p):
     h_got, _ = hermite_normal_form(IntegerMatrix([list(r) for r in center_rows]))
     exp_rows = [tuple(r) for r in h_exp.rows if any(r)]
     got_rows = [tuple(r) for r in h_got.rows if any(r)]
-    assert exp_rows == got_rows, "center is not Z[ip]"
+    _verify(exp_rows == got_rows, "center is not Z[ip]")
     return order, center_rows
 
 
 def _center_lattice(order):
     """Z-basis of the center of the order: elements commuting with all
     basis matrices."""
-    basis_mats = [coords_to_matrix(r) for r in order.basis]
     # linear map per order-basis coordinate: z = sum t_j b_j, conditions
     # [z, b] = 0 for every basis matrix b
     columns = []
-    for t in range(8):
-        zt = coords_to_matrix(order.basis[t])
+    for zt in order.basis:
         col = []
-        for bm in basis_mats:
-            comm = mat_add(mat_mul(zt, bm), mat_scal(-1, mat_mul(bm, zt)))
-            col.extend(matrix_to_coords(comm))
+        for b in order.basis:
+            col.extend(u - v for u, v in zip(_coord_mul(zt, b), _coord_mul(b, zt)))
         columns.append(col)
     mat = IntegerMatrix(
         [[columns[j][i] for j in range(8)] for i in range(len(columns[0]))]
@@ -374,8 +379,8 @@ def center_index_in_gaussian_scalars(center_rows, p):
     mat = []
     for row in center_rows:
         # scalar matrices diag(z, z): b = c = 0 and d = a
-        assert row[2] == row[3] == row[4] == row[5] == 0
-        assert row[0] == row[6] and row[1] == row[7]
+        _verify(row[2] == row[3] == row[4] == row[5] == 0, "center row is not diagonal")
+        _verify(row[0] == row[6] and row[1] == row[7], "center row is not scalar")
         mat.append([row[0], row[1]])
     return abs(det(IntegerMatrix(mat)))
 
@@ -392,70 +397,57 @@ class LatticeModP:
     generators: tuple  # matrices as tuples of rows over F_p
 
     def act(self, g, v):
-        return tuple(
-            sum(g[i][j] * v[j] for j in range(self.dim)) % self.p
-            for i in range(self.dim)
-        )
+        return tuple(sum(a * b for a, b in zip(row, v)) % self.p for row in g)
 
 
 def enumerate_stable_lattices(action):
-    """All subspaces of F_p^dim stable under every generator, by closing
-    cyclic submodules and saturating under sums; returns (all_subspaces,
-    proper_nontrivial), each as canonical echelon-row tuples."""
+    """All subspaces of F_p^dim stable under every generator; returns
+    (all_subspaces, proper_nontrivial), each as canonical echelon-row tuples.
+
+    Every stable W is the sum of the cyclic submodules C(w), w in W; C(w)
+    depends only on the line through w; and a sum of stable subspaces is
+    stable.  So C(v) is closed once per projective point v (first nonzero
+    coordinate 1), and closing {0} under sums with these C(v) yields every
+    stable subspace and nothing else (the submodule-lattice method of
+    Lux-Mueller-Ringe, J. Symbolic Comput. 17, 1994).
+    """
     if action.dim > 10:
         raise ValueError("ambient dimension capped at 10")
     p, n = action.p, action.dim
 
     def canon(rows):
-        ech, _ = rref_mod_p([list(r) for r in rows], p)
+        ech, _ = rref_mod_p(rows, p)
         return tuple(tuple(r) for r in ech)
 
-    def closure(vectors):
-        rows = [list(v) for v in vectors]
-        ech, _ = rref_mod_p(rows, p)
-        frontier = [tuple(r) for r in ech]
-        space = list(frontier)
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in action.generators:
-                    w = action.act(g, v)
-                    ech2, _ = rref_mod_p([list(r) for r in space] + [list(w)], p)
-                    if len(ech2) > len(space):
-                        space = [tuple(r) for r in ech2]
-                        new.append(w)
-            frontier = new
-        return canon(space)
+    def cyclic(v):
+        # rows monic at their pivots, each reduced against the earlier ones;
+        # every generator image of a new row is reduced the same way
+        rows, todo = [], [v]
+        while todo:
+            w = todo.pop()
+            for col, r in rows:
+                f = w[col]
+                if f:
+                    w = [(x - f * y) % p for x, y in zip(w, r)]
+            col = next((j for j, x in enumerate(w) if x), None)
+            if col is not None:
+                inv = pow(w[col], -1, p)
+                w = [x * inv % p for x in w]
+                rows.append((col, w))
+                todo.extend(action.act(g, w) for g in action.generators)
+        return canon([r for _, r in rows])
 
-    def members(rows):
-        """All vectors of the subspace spanned by echelon rows."""
-        from itertools import product
-
-        out = []
-        for coeffs in product(range(p), repeat=len(rows)):
-            v = tuple(
-                sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(n)
-            )
-            out.append(v)
-        return out
-
-    all_vectors = []
-    from itertools import product as iproduct
-
-    for digits in iproduct(range(p), repeat=n):
-        if any(digits):
-            all_vectors.append(tuple(digits))
-
-    zero_space = ()
-    found = {zero_space}
-    queue = [zero_space]
+    cyclics = {
+        cyclic((0,) * k + (1,) + tail)
+        for k in range(n)
+        for tail in product(range(p), repeat=n - k - 1)
+    }
+    found = {()}
+    queue = [()]
     while queue:
         base = queue.pop()
-        base_members = set(members(base)) if base else {tuple([0] * n)}
-        for v in all_vectors:
-            if v in base_members:
-                continue
-            bigger = closure(list(base) + [v])
+        for c in cyclics:
+            bigger = canon(base + c)
             if bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)
@@ -553,9 +545,9 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
         gens.append([c % p for c in vec])
     h, _ = hermite_normal_form(IntegerMatrix(gens))
     rows = tuple(tuple(r) for r in h.rows if any(r))
-    assert len(rows) == n1 + n2
+    _verify(len(rows) == n1 + n2, "pullback is not of full rank")
     index = abs(det(IntegerMatrix([list(r) for r in rows])))
-    assert index == p ** m, "pullback index %d != p^%d" % (index, m)
+    _verify(index == p ** m, "pullback index %d != p^%d" % (index, m))
     return FiberProductReport(
         basis=rows,
         index=index,
@@ -603,7 +595,7 @@ def glued_lattice(p):
         (a, b), (c, d) = coords_to_matrix(row)
         # first column (a, c) in lattice-1 coordinates, second (b, d) in
         # lattice-2 coordinates
-        assert c.re % p == 0 and c.im % p == 0
+        _verify(c.re % p == 0 and c.im % p == 0, "order row has p not dividing c")
         cols.append(
             (a.re, a.im, c.re // p, c.im // p, b.re, b.im, d.re, d.im)
         )
@@ -611,5 +603,5 @@ def glued_lattice(p):
     got = [tuple(r) for r in h1.rows if any(r)]
     h2, _ = hermite_normal_form(IntegerMatrix([list(r) for r in report.basis]))
     exp_rows = [tuple(r) for r in h2.rows if any(r)]
-    assert got == exp_rows, "fiber product does not match the order columns"
+    _verify(got == exp_rows, "fiber product does not match the order columns")
     return report

@@ -270,3 +270,16 @@ def test_criterion_10_fiber_product():
     assert rep.witt_colength == 1
     assert rep.index == 9
     _report(10, "fiber product has Witt colength 1 and index 9 at p=3")
+
+
+def test_criterion_10_beyond_p7():
+    for p in (11, 19):
+        count, proper = lattice_class_count(p)
+        assert count == 2
+        assert proper == [((1, 0, 0, 0), (0, 1, 0, 0))]  # the a-plane
+        order, center = endomorphism_order(p)
+        assert order.index == p ** 4
+        assert center_index_in_gaussian_scalars(center, p) == p
+        rep = glued_lattice(p)
+        assert rep.index == p ** 2 and rep.witt_colength == 1
+    _report(10, "two lattice classes, index p^4, center index p, fiber product at p = 11, 19")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,31 @@ def test_example_sec9(capsys):
     assert doc["r_pi_index_in_maximal"] == 3
     code, doc, _ = invoke(capsys, "example-sec9", "--p", "5")
     assert code == 2
+
+
+def test_example_sec9_rejects_non_prime_p(capsys):
+    # 15, 35 and -1 are 3 mod 4 but not prime; 9 is neither
+    for p in ("15", "35", "-1", "9", "1"):
+        code, doc, _ = invoke(capsys, "example-sec9", "--p=" + p)
+        assert code == 1, p
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["command"] == "example-sec9"
+
+
+# sha256 of the stdout of `--no-cache example-sec9 --p P`, measured before the
+# stable-lattice engine moved to cyclic submodules
+SEC9_DIGESTS = {
+    3: "1d380a9fb932398d30fcd76c09371f1f87c59909c517b6a2a9117cae2758f846",
+    7: "8e82e2f1ffe184dbee7d13548782ad6f1a8f6626d15b6fef63b9d6f999cdcc66",
+    11: "1cdc8306a07475e54659577476df076869631834f8e84400e15ea586853be453",
+}
+
+
+def test_example_sec9_byte_identical(capsys):
+    for p, digest in SEC9_DIGESTS.items():
+        code, _, raw = invoke(capsys, "--no-cache", "example-sec9", "--p", str(p))
+        assert code == 0
+        assert hashlib.sha256(raw.encode()).hexdigest() == digest, p
 
 
 def test_gamma_witness(capsys):

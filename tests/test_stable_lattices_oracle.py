@@ -1,0 +1,159 @@
+"""Oracle test for the cyclic-submodule stable-lattice enumerator.
+
+`supersingular.enumerate_stable_lattices` closes one cyclic submodule per
+projective point and saturates {0} under sums with them.  The oracle below is
+the earlier brute-force route, kept verbatim: it re-closes a submodule for
+every vector of F_p^dim outside each subspace found so far.
+"""
+
+import random
+
+from weilkit.intmatrix import rref_mod_p
+from weilkit.supersingular import (
+    LatticeModP,
+    enumerate_stable_lattices,
+    standard_module_action,
+)
+
+
+def brute_force_stable_lattices(action):
+    """All subspaces of F_p^dim stable under every generator, by closing
+    cyclic submodules and saturating under sums; returns (all_subspaces,
+    proper_nontrivial), each as canonical echelon-row tuples."""
+    if action.dim > 10:
+        raise ValueError("ambient dimension capped at 10")
+    p, n = action.p, action.dim
+
+    def canon(rows):
+        ech, _ = rref_mod_p([list(r) for r in rows], p)
+        return tuple(tuple(r) for r in ech)
+
+    def closure(vectors):
+        rows = [list(v) for v in vectors]
+        ech, _ = rref_mod_p(rows, p)
+        frontier = [tuple(r) for r in ech]
+        space = list(frontier)
+        while frontier:
+            new = []
+            for v in frontier:
+                for g in action.generators:
+                    w = action.act(g, v)
+                    ech2, _ = rref_mod_p([list(r) for r in space] + [list(w)], p)
+                    if len(ech2) > len(space):
+                        space = [tuple(r) for r in ech2]
+                        new.append(w)
+            frontier = new
+        return canon(space)
+
+    def members(rows):
+        """All vectors of the subspace spanned by echelon rows."""
+        from itertools import product
+
+        out = []
+        for coeffs in product(range(p), repeat=len(rows)):
+            v = tuple(
+                sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(n)
+            )
+            out.append(v)
+        return out
+
+    all_vectors = []
+    from itertools import product as iproduct
+
+    for digits in iproduct(range(p), repeat=n):
+        if any(digits):
+            all_vectors.append(tuple(digits))
+
+    zero_space = ()
+    found = {zero_space}
+    queue = [zero_space]
+    while queue:
+        base = queue.pop()
+        base_members = set(members(base)) if base else {tuple([0] * n)}
+        for v in all_vectors:
+            if v in base_members:
+                continue
+            bigger = closure(list(base) + [v])
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    all_sorted = sorted(found, key=lambda rows: (len(rows), rows))
+    proper = [rows for rows in all_sorted if 0 < len(rows) < n]
+    return all_sorted, proper
+
+
+def _invariance_actions():
+    """The shuffled and the conjugated standard actions at p = 3, built as
+    in test_supersingular.test_stable_lattices_invariance (seed 3)."""
+    rng = random.Random(3)
+    p = 3
+    action = standard_module_action(p)
+    gens = list(action.generators)
+    rng.shuffle(gens)
+    shuffled = LatticeModP(p=p, dim=4, generators=tuple(gens))
+    while True:
+        m = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+        ech, _ = rref_mod_p(m, p)
+        if len(ech) == 4:
+            break
+    aug = [list(row) + [1 if i == j else 0 for j in range(4)] for i, row in enumerate(m)]
+    ech, _ = rref_mod_p(aug, p)
+    inv = [row[4:] for row in ech]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(4)) % p for j in range(4)] for i in range(4)]
+
+    conjugated = LatticeModP(
+        p=p,
+        dim=4,
+        generators=tuple(tuple(map(tuple, mul(mul(m, g), inv))) for g in action.generators),
+    )
+    return shuffled, conjugated
+
+
+def _random_action(rng):
+    """A seeded action with 0-3 sparse or dense generators on a scalar
+    diagonal, so that the lattices range from {0, V} to every subspace.
+    F_3^4 and F_5^3 are drawn at a sixth of the weight of the other spaces:
+    the oracle takes up to 0.5 s on an action there."""
+    cells = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
+             (5, 1), (5, 2), (5, 3)]
+    p, dim = rng.choices(cells, weights=[1 if cell in ((3, 4), (5, 3)) else 6 for cell in cells])[0]
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        density = rng.choice((0.2, 0.4, 1.0))
+        scalar = rng.randrange(p)
+        gens.append(tuple(
+            tuple(scalar if i == j else (rng.randrange(p) if rng.random() < density else 0)
+                  for j in range(dim))
+            for i in range(dim)
+        ))
+    return LatticeModP(p=p, dim=dim, generators=tuple(gens))
+
+
+def _full_and_zero(p, dim):
+    units = tuple(
+        tuple(tuple(1 if (i, j) == (a, b) else 0 for j in range(dim)) for i in range(dim))
+        for a in range(dim) for b in range(dim)
+    )
+    zero = tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
+    return (LatticeModP(p=p, dim=dim, generators=units),
+            LatticeModP(p=p, dim=dim, generators=(zero,)))
+
+
+def test_cyclic_enumerator_matches_brute_force():
+    actions = [standard_module_action(3), standard_module_action(7)]
+    actions += _full_and_zero(3, 2) + _full_and_zero(2, 4) + _full_and_zero(5, 2)
+    actions += _invariance_actions()
+    rng = random.Random(20240)
+    drawn = set()
+    while len(drawn) < 150:  # distinct actions: 0 generators repeat often
+        drawn.add(_random_action(rng))
+    actions += sorted(drawn, key=repr)
+    sizes = set()
+    for action in actions:
+        want = brute_force_stable_lattices(action)
+        assert enumerate_stable_lattices(action) == want, action
+        sizes.add(len(want[0]))
+    # the sample reaches lattices from the bare {0, V} to every subspace
+    assert 2 in sizes and max(sizes) >= 67

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from weilkit.supersingular import (
     GaussInt,
     LatticeModP,
+    VerificationError,
     center_index_in_gaussian_scalars,
     congruence_predicate,
     coords_to_matrix,
@@ -75,6 +80,24 @@ def test_predicate_and_lattice_agree():
         coords = [rng.randint(-(p ** 2), p ** 2) for _ in range(8)]
         m = coords_to_matrix(coords)
         assert order.contains(m) == congruence_predicate(m, p)
+
+
+def test_integer_coordinates_match_gaussian_matrices():
+    """The order checks multiply and test the predicate on the 8 integer
+    coordinates; GaussInt matrix arithmetic is the reference."""
+    from weilkit.supersingular import _congruent, _coord_mul
+
+    rng = random.Random(29)
+    for _ in range(500):
+        p = rng.choice((3, 7, 11))
+        x, y = ([rng.randint(-2 * p, 2 * p) for _ in range(8)] for _ in range(2))
+        if rng.random() < 0.5:  # bias towards the order, where the predicate holds
+            x[4], x[5], x[6], x[7] = p * x[4], p * x[5], x[0] + p * x[6], -x[1] + p * x[7]
+        mx, my = coords_to_matrix(x), coords_to_matrix(y)
+        assert _coord_mul(x, y) == matrix_to_coords(mat_mul(mx, my))
+        (a, _), (c, d) = mx
+        want = c.re % p == 0 and c.im % p == 0 and (a.re - d.re) % p == 0 and (a.im + d.im) % p == 0
+        assert _congruent(x, p) == want
 
 
 def test_endomorphism_order_center():
@@ -184,3 +207,33 @@ def test_fiber_product_rejects_mismatch():
         fiber_product_lattice(
             [(1, 0), (0, 1)], [[0, 0]], [(1, 0), (0, 1)], [[0, 0]], p, 1
         )
+
+
+def test_checks_survive_optimized_mode():
+    """A wrong congruence-lattice index is caught under `python -O` too."""
+    script = (
+        "import weilkit.supersingular as ss\n"
+        "real = ss._congruence_lattice\n"
+        "def wrong(p):\n"
+        "    rows, index = real(p)\n"
+        "    return rows, index * p\n"
+        "ss._congruence_lattice = wrong\n"
+        "try:\n"
+        "    ss.endomorphism_order(3)\n"
+        "except ss.VerificationError as e:\n"
+        "    print('raised:', e)\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: index is 243, expected p^4\n", flags
+    assert issubclass(VerificationError, AssertionError)
