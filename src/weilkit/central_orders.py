@@ -1,38 +1,53 @@
 """The minimal central order R_w.
 
 R_w is realized as a lattice inside Q[x]/(P_w) with F acting as x and V as
-q/x.  The basis follows the parity of deg(w): F^d ... F, 1, V ... V^(d-1)
-in the even case and F^(d0) ... 1 ... V^(d0) in the odd case (even r with
-exactly one rational class).  The multiplication table has integer entries,
-which is verified at construction, as are the defining relations F V = q
-and the vanishing of the symmetric polynomial of w.
+q/x.  For n = deg(w) its basis is F^(n//2) ... F, 1, V ... V^((n-1)//2):
+F^d ... F, 1, V ... V^(d-1) in the even case n = 2d, and
+F^(d0) ... 1 ... V^(d0) in the odd case n = 2 d0 + 1 (even r with exactly one
+rational class).
+
+Each order is solved once, exactly and in integers.  The basis times a
+common denominator D gives integer rows W, and fraction-free Gauss-Jordan
+elimination (Bareiss, Math. Comp. 22, 1968; Cohen, GTM 138, 2.2) gives the
+integer inverse: X and e = +-det(W) with X W = e I (X = +-adj(W)).  A
+nonzero pivot at every step proves the embedding injective.  The
+coordinates of b_i b_j are the quotients of (W_i W_j mod P_w) X by D e, so
+the table is integral, i.e. the lattice is closed under multiplication,
+exactly when none of these divisions leaves a remainder.  The defining
+relations F V = q and the vanishing of the symmetric polynomial of w are
+then verified on the integer table, and indices are ratios of integer
+determinants.  Every check raises `VerificationError`, also under
+`python -O`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
-from .intmatrix import IntegerMatrix, elementary_divisors
-from .intpoly import IntPolynomial
-from .weil import SymmetricPolynomial, WeilSet, weil_set
+from .checks import verify
+from .intmatrix import IntegerMatrix, det, elementary_divisors
+from .weil import WeilSet, weil_set
 
 
 def _poly_mod(vec, poly):
-    """Reduce a Fraction coefficient vector modulo the monic poly."""
+    """Reduce an integer coefficient vector modulo the monic poly."""
     vec = list(vec)
-    d = poly.degree
-    while len(vec) > d:
-        top = vec.pop()
-        if top:
-            for i in range(d):
-                vec[-d + i] -= top * poly.coeffs[i]
-    vec += [Fraction(0)] * (d - len(vec))
-    return vec
+    cs = poly.coeffs
+    n = poly.degree
+    for top in range(len(vec) - 1, n - 1, -1):
+        c = vec[top]
+        if c:
+            for i in range(n):
+                vec[top - n + i] -= c * cs[i]
+    return vec[:n] + [0] * (n - len(vec))
 
 
 def _mul_mod(a, b, poly):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -40,33 +55,34 @@ def _mul_mod(a, b, poly):
     return _poly_mod(out, poly)
 
 
-def _x_inverse(poly):
-    """Coefficient vector of x^(-1) mod poly (nonzero constant term)."""
-    c0 = poly.coeffs[0]
-    # x * u = 1 with u = -(P - c0)/(x * c0)
-    u = [Fraction(-poly.coeffs[i + 1], c0) for i in range(poly.degree)]
-    return _poly_mod(u, poly)
+def _integer_rows(vectors):
+    """(W, D): rows of ints and Fractions times their least common
+    denominator D."""
+    scale = lcm(*(c.denominator for row in vectors for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in vectors], scale
 
 
-def _invert_matrix(rows):
-    d = len(rows)
-    a = [
-        [Fraction(c) for c in row]
-        + [Fraction(1 if i == j else 0) for j in range(d)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(d):
-        piv = next((i for i in range(col, d) if a[i][col] != 0), None)
+def _integer_inverse(rows):
+    """(X, e) with X W = W X = e I and e = +-det(W) for a square integer
+    matrix W, by fraction-free Gauss-Jordan elimination on [W | I]: every
+    division is exact, and a zero pivot column means W is singular."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ValueError("singular basis matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for i in range(d):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [c - f * x for c, x in zip(a[i], a[col])]
-    return [row[d:] for row in a]
+        a[k], a[piv] = a[piv], a[k]
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        for i in range(n):
+            f = a[i][k]
+            if i != k:
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pk
+    # [W | I] is now [e I | e W^-1]
+    return [row[n:] for row in a], prev
 
 
 @dataclass(frozen=True)
@@ -74,18 +90,57 @@ class CentralOrder:
     weil_set: WeilSet
     basis_labels: tuple
     basis_vectors: tuple  # rows of Fractions, coordinates in Q[x]/(P_w)
-    table: tuple  # integer 3-tensor: table[i][j] = coords of b_i b_j
+    # integer 3-tensor: table[i][j] = coords of b_i b_j; derived from the
+    # basis, with closure verified, when not given
+    table: tuple = None
+    # (W, D, columns of X, e) for W = D * basis_vectors and X W = e I
+    _solve: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows, scale = _integer_rows(self.basis_vectors)
+        inverse, e = _integer_inverse(rows)
+        object.__setattr__(self, "_solve", (rows, scale, tuple(zip(*inverse)), e))
+        if self.table is None:
+            object.__setattr__(self, "table", self._closed_table())
+
+    def _closed_table(self):
+        """Coordinates of every product of two basis vectors W_i / D and
+        W_j / D.  Each must be integral: that is the closure check."""
+        rows, scale, _inv_cols, _e = self._solve
+        poly = self.weil_set.polynomial
+        n = len(rows)
+        cells = {}
+        for i in range(n):
+            for j in range(i, n):
+                cell = self._exact_coords(_mul_mod(rows[i], rows[j], poly), scale * scale)
+                verify(cell is not None, "order not multiplicatively closed")
+                cells[i, j] = cells[j, i] = tuple(cell)
+        return tuple(tuple(cells[i, j] for j in range(n)) for i in range(n))
 
     @property
     def rank(self):
         return len(self.basis_labels)
 
+    def _exact_coords(self, vec, den):
+        """Order coordinates of vec / den for an integer power-basis vector
+        vec, or None when one of them is not an integer."""
+        _rows, scale, inv_cols, e = self._solve
+        m = den * e
+        out = []
+        for col in inv_cols:
+            c, rem = divmod(scale * sum(map(mul, vec, col)), m)
+            if rem:
+                return None
+            out.append(c)
+        return out
+
     def element_coords(self, vec):
         """Coordinates of a power-basis Fraction vector in the order basis."""
-        inv = _invert_matrix([list(r) for r in self.basis_vectors])
-        d = self.rank
+        (ints,), den = _integer_rows([[Fraction(c) for c in vec]])
+        _rows, scale, inv_cols, e = self._solve
         return [
-            sum(Fraction(vec[j]) * inv[j][i] for j in range(d)) for i in range(d)
+            Fraction(scale * sum(map(mul, ints, col)), den * e)
+            for col in inv_cols
         ]
 
     def multiply(self, a, b):
@@ -106,9 +161,7 @@ class CentralOrder:
         """Evaluate a symmetric F/V polynomial with integer exponents via the
         table; returns order coordinates."""
         d = self.rank
-        f = self._coords_of_label("F")
-        v = self._coords_of_label("V")
-        one = self._unit_coords()
+        f, v, one = self._generators
         out = [0] * d
         for (i, j), c in h.support.items():
             if i % 2 or j % 2:
@@ -121,24 +174,23 @@ class CentralOrder:
             out = [o + c * t for o, t in zip(out, term)]
         return out
 
+    @cached_property
+    def _generators(self):
+        """Order coordinates of F, V and 1, verified to be integers."""
+        poly = self.weil_set.polynomial
+        cs = poly.coeffs
+        # c0 V = -q (a_1 + a_2 x + ... + x^(n-1)), as in build_order
+        f = self._exact_coords(_poly_mod([0, 1], poly), 1)
+        v = self._exact_coords([-self.weil_set.context.q * c for c in cs[1:]], cs[0])
+        one = self._exact_coords([1] + [0] * (poly.degree - 1), 1)
+        verify(None not in (f, v, one), "F, V or 1 is not in the order")
+        return f, v, one
+
     def _unit_coords(self):
-        one = [Fraction(0)] * self.rank
-        one[0] = Fraction(1)
-        return [int(c) for c in self.element_coords(one)]
+        return list(self._generators[2])
 
     def _coords_of_label(self, name):
-        poly = self.weil_set.polynomial
-        if name == "F":
-            vec = _poly_mod([Fraction(0), Fraction(1)], poly)
-        else:
-            q = self.weil_set.context.q
-            vec = [q * c for c in _x_inverse(poly)]
-        coords = self.element_coords(vec)
-        out = []
-        for c in coords:
-            assert c.denominator == 1
-            out.append(int(c))
-        return out
+        return list(self._generators[0 if name == "F" else 1])
 
     def as_dict(self):
         return {
@@ -154,77 +206,20 @@ class CentralOrder:
 def build_order(w):
     """Construct R_w with verified closure and defining relations."""
     poly = w.polynomial
-    deg = poly.degree
-    q = w.context.q
-    xinv = _x_inverse(poly)
-    v_vec = [q * c for c in xinv]
-
-    def f_power(k):
-        vec = [Fraction(0)] * deg
-        if k == 0:
-            vec[0] = Fraction(1)
-            return vec
-        out = [Fraction(1)]
-        x = [Fraction(0), Fraction(1)]
-        for _ in range(k):
-            out = _mul_mod(out, x, poly)
-        return _poly_mod(out, poly)
-
-    def v_power(k):
-        out = [Fraction(1)] + [Fraction(0)] * (deg - 1)
-        for _ in range(k):
-            out = _mul_mod(out, v_vec, poly)
-        return out
-
-    labels = []
-    vectors = []
-    if deg % 2 == 0:
-        d = deg // 2
-        for k in range(d, 0, -1):
-            labels.append("F^%d" % k if k > 1 else "F")
-            vectors.append(f_power(k))
-        labels.append("1")
-        vectors.append(f_power(0))
-        for k in range(1, d):
-            labels.append("V^%d" % k if k > 1 else "V")
-            vectors.append(v_power(k))
-    else:
-        d0 = deg // 2
-        for k in range(d0, 0, -1):
-            labels.append("F^%d" % k if k > 1 else "F")
-            vectors.append(f_power(k))
-        labels.append("1")
-        vectors.append(f_power(0))
-        for k in range(1, d0 + 1):
-            labels.append("V^%d" % k if k > 1 else "V")
-            vectors.append(v_power(k))
-
-    inv = _invert_matrix(vectors)  # injectivity of the embedding
-
-    def coords(vec):
-        return [
-            sum(vec[j] * inv[j][i] for j in range(deg)) for i in range(deg)
-        ]
-
-    table = []
-    for i in range(deg):
-        row = []
-        for j in range(deg):
-            prod = _mul_mod(vectors[i], vectors[j], poly)
-            cs = coords(prod)
-            ints = []
-            for c in cs:
-                assert c.denominator == 1, "order not multiplicatively closed"
-                ints.append(int(c))
-            row.append(tuple(ints))
-        table.append(tuple(row))
-
-    order = CentralOrder(
-        weil_set=w,
-        basis_labels=tuple(labels),
-        basis_vectors=tuple(tuple(v) for v in vectors),
-        table=tuple(table),
-    )
+    n = poly.degree
+    c0 = poly.coeffs[0]
+    # x V = q, so c0 V = u = -q (a_1 + a_2 x + ... + x^(n-1))
+    u = [-w.context.q * c for c in poly.coeffs[1:]]
+    labels, vectors = [], []
+    for k in range(n // 2, -1, -1):
+        labels.append("1" if k == 0 else "F^%d" % k if k > 1 else "F")
+        vectors.append(tuple(Fraction(int(i == k)) for i in range(n)))
+    power = [1] + [0] * (n - 1)
+    for k in range(1, (n - 1) // 2 + 1):
+        labels.append("V^%d" % k if k > 1 else "V")
+        power = _mul_mod(power, u, poly)
+        vectors.append(tuple(Fraction(c, c0 ** k) for c in power))
+    order = CentralOrder(w, tuple(labels), tuple(vectors))
     _verify_relations(order)
     return order
 
@@ -232,35 +227,29 @@ def build_order(w):
 def _verify_relations(order):
     w = order.weil_set
     q = w.context.q
-    f = order._coords_of_label("F")
-    v = order._coords_of_label("V")
-    one = order._unit_coords()
-    fv = order.multiply(f, v)
-    assert fv == [q * c for c in one], "F V = q fails"
+    f, v, one = order._generators
+    verify(order.multiply(f, v) == [q * c for c in one], "F V = q fails")
     h = w.h
     if all(i % 2 == 0 and j % 2 == 0 for (i, j) in h.support):
         res = order.evaluate_symmetric(h)
-        assert all(c == 0 for c in res), "h_w(F, V) = 0 fails"
+        verify(all(c == 0 for c in res), "h_w(F, V) = 0 fails")
     else:
         # odd case: h_w has half powers; the defining relations are
         # h_w0(F, V) (F - eps p^m) = 0 and its V-twin
         rational = [c for c in w.classes if c.is_rational]
         others = [c for c in w.classes if not c.is_rational]
-        assert len(rational) == 1
-        ctx = w.context
+        verify(len(rational) == 1, "odd degree needs exactly one rational class")
         eps_root = -rational[0].polynomial.coeffs[0]
         if others:
-            h0 = weil_set(others).h
-            h0_val = order.evaluate_symmetric(h0)
+            h0_val = order.evaluate_symmetric(weil_set(others).h)
         else:
-            h0_val = order._unit_coords()
-        f = order._coords_of_label("F")
-        v = order._coords_of_label("V")
-        one = order._unit_coords()
+            h0_val = one
         f_minus = [a - eps_root * b for a, b in zip(f, one)]
         v_minus = [a - eps_root * b for a, b in zip(v, one)]
-        assert all(c == 0 for c in order.multiply(h0_val, f_minus))
-        assert all(c == 0 for c in order.multiply(h0_val, v_minus))
+        verify(all(c == 0 for c in order.multiply(h0_val, f_minus)),
+               "h_w0(F, V) (F - eps p^m) = 0 fails")
+        verify(all(c == 0 for c in order.multiply(h0_val, v_minus)),
+               "h_w0(F, V) (V - eps p^m) = 0 fails")
 
 
 def index_in(order, overorder_vectors):
@@ -268,47 +257,36 @@ def index_in(order, overorder_vectors):
     (rows of rationals in Q[x]/(P_w) coordinates).
 
     Both must span the same Q-vector space; the index is the absolute
-    determinant of the change of basis, a positive integer when the order is
-    actually contained in the overorder.
+    determinant of the change of basis, det(order basis) / det(overorder
+    basis), a positive integer when the order is actually contained in the
+    overorder.
     """
     d = order.rank
-    over = [list(map(Fraction, row)) for row in overorder_vectors]
+    over = [[Fraction(c) for c in row] for row in overorder_vectors]
     if len(over) != d:
         raise ValueError("overorder basis has wrong rank")
-    inv = _invert_matrix(over)
-    change = []
-    for row in order.basis_vectors:
-        change.append(
-            [sum(Fraction(row[j]) * inv[j][i] for j in range(d)) for i in range(d)]
-        )
-    det = _fraction_det(change)
-    if det == 0:
-        raise ValueError("bases span different spaces")
-    det = abs(det)
-    if det.denominator != 1:
+    rows, scale = _integer_rows(over)
+    det_over = det(IntegerMatrix(rows))
+    if det_over == 0:
+        raise ValueError("singular basis matrix")
+    _rows, order_scale, _inv_cols, e = order._solve
+    index = Fraction(abs(e) * scale ** d, order_scale ** d * abs(det_over))
+    if index.denominator != 1:
         raise ValueError("order is not contained in the overorder")
-    return int(det)
+    return int(index)
 
 
-def _fraction_det(rows):
-    d = len(rows)
-    a = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((i for i in range(col, d) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for i in range(col + 1, d):
-            if a[i][col]:
-                f = a[i][col]
-                a[i] = [c - f * x for c, x in zip(a[i], a[col])]
-    return det
+def _image_coords(order_small, order_big):
+    """Coordinates in order_small of the basis of order_big reduced modulo
+    the polynomial of order_small, one integer row per basis vector."""
+    rows, scale, _inv_cols, _e = order_big._solve
+    poly = order_small.weil_set.polynomial
+    out = []
+    for row in rows:
+        coords = order_small._exact_coords(_poly_mod(row, poly), scale)
+        verify(coords is not None, "image outside the small order")
+        out.append(coords)
+    return out
 
 
 def quotient_map(w_small, w_big):
@@ -320,115 +298,27 @@ def quotient_map(w_small, w_big):
         raise ValueError("first set must be contained in the second")
     order_small = build_order(w_small)
     order_big = build_order(w_big)
-    p_small = w_small.polynomial
-    cols = []
-    for vec in order_big.basis_vectors:
-        reduced = _poly_mod(list(vec), p_small)
-        coords = order_small.element_coords(reduced)
-        col = []
-        for c in coords:
-            assert c.denominator == 1, "image outside the small order"
-            col.append(int(c))
-        cols.append(col)
-    matrix = IntegerMatrix([[cols[j][i] for j in range(len(cols))]
-                            for i in range(order_small.rank)])
+    matrix = IntegerMatrix(list(zip(*_image_coords(order_small, order_big))))
     divisors = [d for d in elementary_divisors(matrix) if d != 0]
-    assert len(divisors) == order_small.rank and all(
-        d == 1 for d in divisors
-    ), "quotient map not surjective"
+    verify(len(divisors) == order_small.rank and all(d == 1 for d in divisors),
+           "quotient map not surjective")
     return matrix
 
 
 def product_embedding_index(cls_a, cls_b):
-    """Index of R_{{a,b}} inside R_a x R_b under the CRT identification of
-    Q[x]/(P_a P_b) with the product of the two fields."""
-    pair = weil_set([cls_a, cls_b])
-    order_pair = build_order(pair)
-    poly_a, poly_b = cls_a.polynomial, cls_b.polynomial
-    poly = pair.polynomial
-    # CRT idempotent e_a: 1 mod P_a, 0 mod P_b
-    g, u, v = _poly_xgcd(poly_a, poly_b)
-    assert g.degree == 0, "classes share a factor"
-    c = Fraction(1, g.coeffs[0])
-    # e_a = v * P_b / g evaluated mod P
-    e_a = _poly_mod([c * x for x in _poly_mul_list(v, poly_b)], poly)
-    e_b = [Fraction(int(i == 0)) - x for i, x in enumerate(e_a)]
+    """Index of R_{{a,b}} inside R_a x R_b: |det| of the coordinates in
+    R_a x R_b of the basis of R_{{a,b}}, reduced modulo P_a and modulo P_b
+    (the CRT identification of Q[x]/(P_a P_b) with the product of fields)."""
+    order_pair = build_order(weil_set([cls_a, cls_b]))
     order_a = build_order(weil_set([cls_a]))
     order_b = build_order(weil_set([cls_b]))
-    prod_rows = []
-    deg = poly.degree
-    for vec in order_a.basis_vectors:
-        lifted = _poly_mod(
-            _mul_mod([Fraction(x) for x in _pad(vec, deg)], e_a, poly), poly
-        )
-        prod_rows.append(lifted)
-    for vec in order_b.basis_vectors:
-        lifted = _poly_mod(
-            _mul_mod([Fraction(x) for x in _pad(vec, deg)], e_b, poly), poly
-        )
-        prod_rows.append(lifted)
-    return index_in(order_pair, prod_rows)
-
-
-def _pad(vec, n):
-    out = list(vec) + [Fraction(0)] * (n - len(vec))
-    return out
-
-
-def _poly_mul_list(a, b):
-    out = [Fraction(0)] * (len(a) + len(b.coeffs) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b.coeffs):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_xgcd(a, b):
-    """Extended gcd over Q for IntPolynomials: g, u, v with u a + v b = g."""
-    r0 = [Fraction(c) for c in a.coeffs]
-    r1 = [Fraction(c) for c in b.coeffs]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def strip(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    def sub_scaled(x, y, q_, shift):
-        x = list(x) + [Fraction(0)] * max(0, len(y) + shift - len(x))
-        for i, c in enumerate(y):
-            x[i + shift] -= q_ * c
-        return strip(x)
-
-    while r1:
-        q_list = []
-        r = list(r0)
-        while len(r) >= len(r1) and r:
-            qc = r[-1] / r1[-1]
-            shift = len(r) - len(r1)
-            q_list = [Fraction(0)] * max(0, shift + 1 - len(q_list)) + q_list
-            if len(q_list) < shift + 1:
-                q_list += [Fraction(0)] * (shift + 1 - len(q_list))
-            q_list[shift] += qc
-            r = sub_scaled(r, r1, qc, shift)
-        r0, r1 = r1, r
-        new_s = list(s0)
-        new_t = list(t0)
-        for shift, qc in enumerate(q_list):
-            if qc:
-                new_s = sub_scaled(new_s, s1, qc, shift)
-                new_t = sub_scaled(new_t, t1, qc, shift)
-        s0, s1 = s1, new_s
-        t0, t1 = t1, new_t
-    lead = r0[-1]
-    g_coeffs = [c / lead for c in r0]
-    assert all(c.denominator == 1 for c in g_coeffs), "gcd not monic-integral"
-    g_int = IntPolynomial([int(c) for c in g_coeffs])
-    u = [c / lead for c in s0]
-    v = [c / lead for c in t0]
-    return g_int, u, v
+    rows = [
+        a + b
+        for a, b in zip(_image_coords(order_a, order_pair), _image_coords(order_b, order_pair))
+    ]
+    index = abs(det(IntegerMatrix(rows)))
+    verify(index != 0, "classes share a factor")
+    return index
 
 
 def connected_components(w):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .checks import VerificationError, verify as _verify
 from .intmatrix import (
     IntegerMatrix,
     det,
@@ -22,15 +23,6 @@ from .intmatrix import (
     kernel_basis,
     rref_mod_p,
 )
-
-
-class VerificationError(AssertionError):
-    """An exact check of the supersingular engine failed."""
-
-
-def _verify(ok, message):
-    if not ok:
-        raise VerificationError(message)
 
 
 class GaussInt:

@@ -60,35 +60,55 @@ class GlobalContext:
     def from_q(cls, q):
         if q < 2:
             raise ValueError("q must be a prime power > 1")
-        p = _smallest_prime_factor(q)
-        r = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            r += 1
-        if n != 1:
-            raise ValueError("%d is not a prime power" % q)
-        return cls(p, r)
+        # if q = p^r with p prime, q has an exact k-th root only for k | r,
+        # so the first prime root, scanning k downwards, is p
+        for k in range(q.bit_length(), 0, -1):
+            p = _integer_root(q, k)
+            if p ** k == q and _is_prime(p):
+                return cls(p, k)
+        raise ValueError("%d is not a prime power" % q)
+
+
+# Miller-Rabin with the first 13 primes as bases is correct for every
+# n < 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n):
+    """Deterministic primality test; ValueError for an n >= _MR_LIMIT that
+    has no prime factor below 42."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise ValueError("%d is beyond the proven primality test" % n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-def _smallest_prime_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+def _integer_root(n, r):
+    """floor(n^(1/r)) for n >= 1, by Newton's iteration from above."""
+    x = 1 << -(-n.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,45 @@ def test_export_roundtrip():
         weil_set([validate_weil(IntPolynomial(cs), ctx) for cs in data["polys"]])
     )
     assert rebuilt.as_dict() == data
+
+
+def test_checks_survive_optimized_mode():
+    """A lattice that is not closed under multiplication and a table with
+    F V != q are caught under `python -O` too."""
+    script = (
+        "import dataclasses\n"
+        "from weilkit import central_orders as co\n"
+        "from weilkit.intpoly import IntPolynomial\n"
+        "from weilkit.weil import GlobalContext, validate_weil, weil_set\n"
+        "ctx = GlobalContext.from_q(3)\n"
+        "w = weil_set([validate_weil(IntPolynomial(c), ctx) for c in ((3, 0, 1), (3, 1, 1))])\n"
+        "order = co.build_order(w)\n"
+        "f, v = order.basis_labels.index('F'), order.basis_labels.index('V')\n"
+        "table = [list(row) for row in order.table]\n"
+        "table[f][v] = table[v][f] = tuple(c + 1 for c in table[f][v])\n"
+        "cases = [\n"
+        "    (co.build_order, dataclasses.replace(w, polynomial=IntPolynomial((2, 3, 6, 1, 1)))),\n"
+        "    (co._verify_relations, dataclasses.replace(order, table=tuple(map(tuple, table)))),\n"
+        "]\n"
+        "for fn, arg in cases:\n"
+        "    try:\n"
+        "        fn(arg)\n"
+        "    except AssertionError as e:\n"
+        "        print('%s: %s' % (type(e).__name__, e))\n"
+        "    else:\n"
+        "        print('returned')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (
+            "VerificationError: order not multiplicatively closed\n"
+            "VerificationError: F V = q fails\n"
+        ), flags

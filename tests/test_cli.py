@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,40 @@ def test_example_sec9_byte_identical(capsys):
         code, _, raw = invoke(capsys, "--no-cache", "example-sec9", "--p", str(p))
         assert code == 0
         assert hashlib.sha256(raw.encode()).hexdigest() == digest, p
+
+
+# sha256 of the `--no-cache` stdout of these requests, measured before the
+# central orders moved from Fraction elimination to one integer solve
+# (`--poly=-3,1` needs the `=`: argparse reads `-3,1` as an option)
+ORDER_DIGESTS = {
+    ("order", "--q", "3", "--poly", "3,0,1", "--poly", "3,1,1"):
+        "823653a69c483ccdc4d1c57795831b77f6993329123bd62a9ebcc292c5025e1f",
+    ("components", "--q", "3", "--poly", "3,0,1", "--poly", "3,1,1"):
+        "7ad4a13618355f74abbcf7309b2e14a3901903d7912b3e125184ddc284aa333d",
+    ("order", "--q", "9", "--poly=-3,1", "--poly", "9,0,1"):
+        "1e58c1b39be0cb942d9713d7466b7fc90d0549b2b39a3ed2d8feaca9d72b6f2e",
+    ("components", "--q", "9", "--poly=-3,1", "--poly", "9,0,1"):
+        "7eee772d56a8d336ef90f76f04e4be7e5767440461c99366e8bd7f173da0a8e3",
+    ("dieudonne-center", "--q", "9", "--poly", "9,0,1", "--precision", "5"):
+        "333d9476d9b9931ab03711fa13c8be0a3071bbd8d58fa160480d4bbd548e790d",
+}
+
+
+def test_order_requests_byte_identical(capsys):
+    for argv, digest in ORDER_DIGESTS.items():
+        code, _, raw = invoke(capsys, "--no-cache", *argv)
+        assert code == 0
+        assert hashlib.sha256(raw.encode()).hexdigest() == digest, argv
+
+
+def test_large_prime_q_answers_quickly(capsys):
+    q = "100000000000000000039"  # prime: trial division would take hours
+    start = time.perf_counter()
+    code, doc, _ = invoke(capsys, "--no-cache", "validate", "--q", q, "--poly", q + ",0,1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["accepted"] and doc["q"] == int(q)
+    code, doc, _ = invoke(capsys, "--no-cache", "validate", "--q", str(2 ** 89 - 1), "--poly", "1,1")
+    assert code == 1 and set(doc) == {"schema", "command", "error"}
 
 
 def test_gamma_witness(capsys):

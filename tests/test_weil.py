@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from weilkit.intpoly import IntPolynomial, divmod_exact
 from weilkit.weil import (
+    _MR_LIMIT,
     GlobalContext,
     NotWeilError,
     WeilClass,
@@ -18,6 +20,8 @@ from weilkit.weil import (
     validate_weil,
     weil_polynomial_from_trace,
     weil_set,
+    _integer_root,
+    _is_prime,
 )
 
 
@@ -244,3 +248,53 @@ def test_weil_set_with_rational_class():
     w1 = weil_set([validate_weil(P(-3, 1), C9)])
     assert w1.degree == 1
     assert w1.h.substitute(C9) == w1.polynomial
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == [
+        n for n in range(-3, 20000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the bases 2; 2, 3, 5, 7; 2, ..., 37
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161)
+    assert not any(_is_prime(n) for n in carmichael)
+    big_primes = (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 20 + 39, 3 ** 40 + 2 ** 32 + 1)
+    assert [_is_prime(n) for n in big_primes] == [True, True, True, False]
+    assert not _is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+    with pytest.raises(ValueError):
+        _is_prime(2 ** 89 - 1)  # prime, but beyond the proven range
+    assert not _is_prime(2 ** 100)  # has a small factor, so decidable
+
+
+def test_is_prime_matches_sympy_on_large_numbers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    sample = [rng.randrange(10 ** 12, _MR_LIMIT) | 1 for _ in range(400)]
+    sample += [sympy.nextprime(n) for n in sample[:100]]
+    assert [_is_prime(n) for n in sample] == [sympy.isprime(n) for n in sample]
+
+
+def test_integer_root_and_prime_powers():
+    for n in range(1, 3000):
+        for r in range(1, 12):
+            x = _integer_root(n, r)
+            assert x ** r <= n < (x + 1) ** r
+    assert _integer_root(10 ** 60 - 1, 3) == 10 ** 20 - 1
+    for p, r in ((2, 80), (3, 40), (2 ** 61 - 1, 3), (10 ** 20 + 39, 1), (10 ** 20 + 39, 2)):
+        ctx = GlobalContext.from_q(p ** r)
+        assert (ctx.p, ctx.r) == (p, r)
+    for q in (6, 12, 3 * 2 ** 10, 2 ** 31 * 3 ** 5, (2 ** 31 - 1) * (10 ** 9 + 7)):
+        with pytest.raises(ValueError, match="not a prime power"):
+            GlobalContext.from_q(q)
+    with pytest.raises(ValueError):
+        GlobalContext.from_q(2 ** 89 - 1)
+    assert 2 ** 89 - 1 > _MR_LIMIT
