@@ -9,14 +9,11 @@ from .intmatrix import IntegerMatrix, hermite_normal_form, smith_normal_form
 from .padic import (
     IrregularPlacesError,
     NewtonPolygon,
-    PadicContext,
     PlaceAboveP,
     WittRingModel,
     decompose_places,
-    hensel_split,
     load_overrides,
     newton_polygon,
-    witt_frobenius,
 )
 from .weil import (
     GlobalContext,

@@ -1,16 +1,17 @@
-"""Exact univariate polynomial arithmetic over Z and Q.
+"""Exact univariate polynomial arithmetic over Z.
 
 Polynomials are stored as coefficient tuples with the constant term first;
-the zero polynomial is the empty tuple.  Everything here is exact: big
-integers and fractions.Fraction, never floating point.  This module also
-provides the two classical exact-real-root tools the rest of the library
-leans on, Sturm counting on rational intervals and sign evaluation at
+the zero polynomial is the empty tuple.  Everything here is exact integer
+arithmetic, never floating point: gcds, squarefree parts and Sturm chains
+come from one primitive pseudo-remainder sequence over Z, and resultants
+from a subresultant one.  This module also provides the two classical
+exact-real-root tools the rest of the library leans on, Sturm counting on
+rational intervals (int or Fraction endpoints) and sign evaluation at
 quadratic surds a + b*sqrt(s).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 
@@ -193,57 +194,33 @@ def from_roots(roots):
     return p
 
 
-# -- rational-coefficient helpers (internal) -----------------------------
+# -- remainder sequences over Z -------------------------------------------
 
 
-def _to_frac(p):
-    return [Fraction(c) for c in p.coeffs]
+def _sturm_sequence(a, b):
+    """Primitive Sturm remainder sequence of (a, b) over Z, zeros dropped.
 
-
-def _frac_strip(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _frac_rem(a, b):
-    """Remainder of a by b, lists of Fractions, b nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i in range(len(b)):
-            a[shift + i] -= q * b[i]
-        a.pop()
-        _frac_strip(a)
-    return a
-
-
-def _frac_to_primitive(cs):
-    """Clear denominators and divide by content; returns IntPolynomial."""
-    if not cs:
-        return IntPolynomial()
-    den = 1
-    for c in cs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(ints)
+    After a and b, each element is minus the pseudo-remainder of the two
+    before it, scaled by |lc|^k rather than lc^k (Brown-Traub, J. ACM 18,
+    1971; Cohen, GTM 138, 3.3) and divided by its content: a positive
+    multiple of the Euclidean Sturm remainder, with its signs everywhere.
+    The last element is gcd(a, b) up to a nonzero integer factor.
+    """
+    seq = [a, b]
+    while not seq[-1].is_zero:
+        u, v = seq[-2], seq[-1]
+        r = _prem(u, v)
+        e = u.degree - v.degree + 1
+        scaled_negative = v.lc < 0 and e > 0 and e % 2  # _prem scales by lc(v)^e
+        seq.append((r if scaled_negative else -r).primitive_part())
+    seq.pop()
+    return seq
 
 
 def gcd_poly(a, b):
     """Primitive gcd over Q of two integer polynomials (monic-normalized sign)."""
-    fa, fb = _to_frac(a), _to_frac(b)
-    while fb:
-        fa, fb = fb, _frac_rem(fa, fb)
-    return _frac_to_primitive(fa)
+    g = _sturm_sequence(a, b)[-1].primitive_part()
+    return -g if g.lc < 0 else g
 
 
 def is_squarefree(p):
@@ -257,63 +234,73 @@ def squarefree_part(p):
     g = gcd_poly(p, p.derivative())
     if g.degree <= 0:
         return p.primitive_part() if p.content() > 1 else p
-    fa = _to_frac(p)
-    fg = _to_frac(g)
-    q, r = _frac_divmod(fa, fg)
-    assert not r, "exact division expected"
-    return _frac_to_primitive(q)
-
-
-def _frac_divmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lb
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i in range(len(b)):
-            a[shift + i] -= c * b[i]
-        a.pop()
-        _frac_strip(a)
-    return q, a
+    s = divmod_exact(p, g).primitive_part()
+    return -s if s.lc < 0 else s
 
 
 def divmod_exact(a, b):
     """Division in Z[x] when it is exact; raises ValueError otherwise."""
-    q, r = _frac_divmod(_to_frac(a), _to_frac(b))
-    if r:
-        raise ValueError("division not exact")
-    out = []
-    for c in q:
-        if c.denominator != 1:
+    a = list(a.coeffs)
+    bc = b.coeffs
+    db, lb = len(bc) - 1, bc[-1]
+    q = [0] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and a:
+        c, r = divmod(a[-1], lb)
+        if r:
             raise ValueError("division not exact over Z")
-        out.append(int(c))
-    return IntPolynomial(out)
+        shift = len(a) - 1 - db
+        q[shift] = c
+        for i in range(db):
+            a[shift + i] -= c * bc[i]
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    if a:
+        raise ValueError("division not exact")
+    return IntPolynomial(q)
 
 
 # -- Sturm machinery -----------------------------------------------------
 
 
 def sturm_chain(p):
-    """Sturm chain of a squarefree polynomial, as Fraction lists."""
-    chain = [_to_frac(p), _to_frac(p.derivative())]
-    while chain[-1]:
-        r = _frac_rem(chain[-2], chain[-1])
-        chain.append([-c for c in r])
-    chain.pop()
-    return chain
+    """Sturm chain of p as integer polynomials; when p is not squarefree
+    it ends in gcd(p, p') up to a constant factor."""
+    return _sturm_sequence(p, p.derivative())
 
 
-def _variations(chain, x):
-    signs = []
-    for cs in chain:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        if acc != 0:
-            signs.append(1 if acc > 0 else -1)
+def _variations(values):
+    """Sign changes along a sequence of integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _variations_at(chain, x):
+    """Sign variations of the chain at an exact rational x = n/d, d > 0,
+    read from the integers d^deg(f) * f(n/d)."""
+    n, d = x.as_integer_ratio()
+    values = []
+    for f in chain:
+        acc, scale = 0, 1
+        for c in reversed(f.coeffs):
+            acc = acc * n + c * scale
+            scale *= d
+        values.append(acc)
+    return _variations(values)
+
+
+def _infinity_variations(chain):
+    """Sign variations of the chain at -infinity and at +infinity."""
+    plus = [1 if f.lc > 0 else -1 for f in chain]
+    minus = [s if f.degree % 2 == 0 else -s for s, f in zip(plus, chain)]
+    return _variations(minus), _variations(plus)
+
+
+def _squarefree_chain(poly):
+    chain = sturm_chain(poly)
+    if poly.is_zero or chain[-1].degree > 0:
+        raise ValueError("squarefree required")
+    return chain
 
 
 def sturm_count(poly, a, b):
@@ -322,28 +309,16 @@ def sturm_count(poly, a, b):
     `a` and `b` may be ints or Fractions with a < b.  Raises ValueError on
     non-squarefree input (callers are expected to divide out gcd(p, p')).
     """
-    if not is_squarefree(poly):
-        raise ValueError("squarefree required")
-    a, b = Fraction(a), Fraction(b)
+    chain = _squarefree_chain(poly)
     if not a < b:
         raise ValueError("need a < b")
-    chain = sturm_chain(poly)
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def root_bound(poly):
-    """Cauchy bound: all real roots lie in (-M, M)."""
-    if poly.degree < 1:
-        return 1
-    lc = abs(poly.lc)
-    m = max(abs(c) for c in poly.coeffs[:-1])
-    return 1 + (m + lc - 1) // lc
+    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def count_real_roots(poly):
     """Number of distinct real roots of a squarefree polynomial."""
-    m = root_bound(poly)
-    return sturm_count(poly, -m, m)
+    minus, plus = _infinity_variations(_squarefree_chain(poly))
+    return minus - plus
 
 
 # -- signs at quadratic surds --------------------------------------------
@@ -422,17 +397,23 @@ def all_roots_below_surd(poly, a, b, s):
 def all_roots_in_open_surd_interval(poly, bound_b, s):
     """All roots real and inside (-bound_b*sqrt(s), bound_b*sqrt(s))?
 
-    Exact; `poly` need not be squarefree (the squarefree part is used, which
-    has the same root set).  Works for any integer s >= 0, so the bound may
-    be irrational.
+    Exact; `poly` need not be squarefree.  One Sturm sequence of (poly,
+    poly') ends in g = gcd(poly, poly'), and every root is real exactly when
+    the variations at -infinity minus those at +infinity, the number of
+    distinct real roots, equal deg poly - deg g.  The derivative tests then
+    run on poly / g, which has the same root set.  Works for any integer
+    s >= 0, so the bound may be irrational.
     """
-    p = squarefree_part(poly)
-    if p.degree <= 0:
+    if poly.degree <= 0:
         return True
+    chain = sturm_chain(poly)
+    g = chain[-1]
+    minus, plus = _infinity_variations(chain)
+    if minus - plus != poly.degree - g.degree:
+        return False
+    p = divmod_exact(poly, g.primitive_part()) if g.degree > 0 else poly
     if p.lc < 0:
         p = -p
-    if count_real_roots(p) != p.degree:
-        return False
     if not all_roots_below_surd(p, 0, bound_b, s):
         return False
     q = IntPolynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.coeffs)))

@@ -21,7 +21,7 @@ from math import gcd
 
 from . import gfpoly as gp
 from .hensel import lift_factorization
-from .intpoly import IntPolynomial, discriminant, is_squarefree
+from .intpoly import discriminant, is_squarefree
 
 
 class IrregularPlacesError(Exception):
@@ -52,20 +52,6 @@ def v_p(n, p):
         n //= p
         v += 1
     return v
-
-
-@dataclass(frozen=True)
-class PadicContext:
-    p: int
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("positive precision required")
-
-    @property
-    def modulus(self):
-        return self.p ** self.precision
 
 
 # -- Newton polygons -----------------------------------------------------
@@ -333,22 +319,6 @@ def _gf_inverse(a, m, p):
         raise ZeroDivisionError("not invertible")
     inv = pow(r0[0], -1, p)
     return [c * inv % p for c in s0]
-
-
-def witt_frobenius(model, a):
-    """The arithmetic Frobenius of the Witt model applied to an element."""
-    return model.sigma(a)
-
-
-def hensel_split(poly, parts, p, k):
-    """Lift a coprime mod-p factorization of a monic polynomial to mod p^k.
-
-    `poly` may be an IntPolynomial or a coefficient list; `parts` are
-    coefficient lists (constant first).  Parts that fail to be coprime
-    mod p are accepted only when they already multiply to the input mod p^k.
-    """
-    coeffs = list(poly.coeffs) if isinstance(poly, IntPolynomial) else list(poly)
-    return lift_factorization(coeffs, parts, p, k)
 
 
 # -- place decomposition ---------------------------------------------------

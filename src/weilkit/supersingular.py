@@ -96,11 +96,6 @@ def mat_add(m1, m2):
     return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2))
 
 
-def mat_scal(c, m):
-    c = _coerce(c)
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def mat_eq(m1, m2):
     return all(x == y for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2))
 

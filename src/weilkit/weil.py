@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from . import zfactor
+from .checks import verify
 from .intpoly import (
     IntPolynomial,
     all_roots_in_open_surd_interval,
@@ -36,7 +37,7 @@ class NotWeilError(Exception):
     )
 
     def __init__(self, reason, detail=""):
-        assert reason in self.REASONS
+        verify(reason in self.REASONS, "unknown rejection reason %r" % (reason,))
         super().__init__(reason if not detail else "%s: %s" % (reason, detail))
         self.reason = reason
 
@@ -277,11 +278,14 @@ def weil_polynomial_from_trace(trace_poly, q):
     """x^d Q(x + q/x) expanded: sum of b_j x^(d - j) (x^2 + q)^j."""
     d = trace_poly.degree
     x2q = IntPolynomial((q, 0, 1))
+    power = IntPolynomial((1,))  # (x^2 + q)^j
     out = IntPolynomial()
     for j in range(d + 1):
         b = trace_poly[j]
         if b:
-            out = out + b * (x2q ** j).shift(d - j)
+            out = out + b * power.shift(d - j)
+        if j < d:
+            power = power * x2q
     return out
 
 

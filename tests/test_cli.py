@@ -142,6 +142,34 @@ def test_order_requests_byte_identical(capsys):
         assert hashlib.sha256(raw.encode()).hexdigest() == digest, argv
 
 
+# sha256 of the `--no-cache enumerate` stdout of the 14 acceptance-grid
+# cells, measured before the Sturm tests moved from Fraction remainders to
+# one integer remainder sequence
+ENUMERATE_DIGESTS = {
+    (2, 2): "346e8daa710ff7b3adb8264206c3b5049353f62a4e7ee6b7d15287012b48aab6",
+    (2, 4): "4cb307d64d26ebbac3021ee2d4896003968acfd3220de8adb0631a25d703eced",
+    (2, 6): "7b87d1b638ca20c2fd9b3976851e8e1e07b327e56ad09eeba4fade259c8b7a58",
+    (3, 2): "51b75efac5cfbc021f72bfb7d08ccd1d41430c4fe991a2c78de2114be0710942",
+    (3, 4): "f9890635e316d2fd7546a733f53830097db871d6552d039d305c5315f24305f1",
+    (3, 6): "13accff9b18f919b435e1ab6b9481823c19f1113e5fd115a1bc66b924f74343c",
+    (4, 2): "e4ff684885429385a9ea1d1c475d581b676d43e3777859e6626146bf56dd833a",
+    (4, 4): "14f6bca2a1b74dc2044577f73379f93495a16367998d4c5f7b37aa5f6480ce99",
+    (4, 6): "4976f7aad616ecb49d1f68186808635210700d37c99798f8d374f6acff9603ba",
+    (9, 2): "52d72b9aca209fdd795c4675e8273e44cdef7274928fa3e31ae1feff4d96c135",
+    (9, 4): "a16e05ff7e780a89e4300e16f66645f5c2adff8225de56b5a89a00097e0e6c3a",
+    (9, 6): "6678a9bb7aad97e0fb73a8273e7191d94633d6de43a51c7b204f09353f6ff833",
+    (32, 2): "203303e225fcf4bd50adb6f54181d050403850ef2a7ba2f91ef9a9554b2db05c",
+    (32, 4): "b02497c944ae75640c230e6178fcc563127ad8a15bccde47b18fcdbd2a4183a3",
+}
+
+
+def test_enumerate_grid_byte_identical(capsys):
+    for (q, max_degree), digest in ENUMERATE_DIGESTS.items():
+        code, _, raw = invoke(capsys, "--no-cache", "enumerate", "--q", str(q), "--max-degree", str(max_degree))
+        assert code == 0
+        assert hashlib.sha256(raw.encode()).hexdigest() == digest, (q, max_degree)
+
+
 def test_large_prime_q_answers_quickly(capsys):
     q = "100000000000000000039"  # prime: trial division would take hours
     start = time.perf_counter()

@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from weilkit.hensel import lift_factorization
 from weilkit.intpoly import IntPolynomial
 from weilkit.padic import (
     IrregularPlacesError,
     WittRingModel,
     decompose_places,
     default_precision,
-    hensel_split,
     make_place,
     newton_polygon,
     v_p,
-    witt_frobenius,
 )
 
 F = Fraction
@@ -70,8 +69,8 @@ def test_witt_model_modulus_and_frobenius():
     assert w.modulus == (1, 0, 1)
     t = w.from_coords([0, 1])
     # t^3 = -t mod (t^2+1): the Frobenius fixed point
-    assert witt_frobenius(w, t) == w.from_coords([0, -1])
-    assert witt_frobenius(w, w.one()) == w.one()
+    assert w.sigma(t) == w.from_coords([0, -1])
+    assert w.sigma(w.one()) == w.one()
 
 
 def test_witt_sigma_order_and_multiplicativity():
@@ -102,10 +101,10 @@ def test_witt_inverse():
 
 
 def test_hensel_split_examples():
-    assert hensel_split(P(0, 1, 1), [[0, 1], [1, 1]], 3, 2) == [[0, 1], [1, 1]]
-    assert hensel_split(P(-1, 0, 1), [[6, 1], [1, 1]], 7, 2) == [[48, 1], [1, 1]]
+    assert lift_factorization(P(0, 1, 1).coeffs, [[0, 1], [1, 1]], 3, 2) == [[0, 1], [1, 1]]
+    assert lift_factorization(P(-1, 0, 1).coeffs, [[6, 1], [1, 1]], 7, 2) == [[48, 1], [1, 1]]
     # exact parts at full precision, congruent mod 5
-    out = hensel_split(P(6, -7, 1), [[-1, 1], [-6, 1]], 5, 2)
+    out = lift_factorization(P(6, -7, 1).coeffs, [[-1, 1], [-6, 1]], 5, 2)
     assert out == [[24, 1], [19, 1]]
     prod = [1]
     from weilkit.hensel import _mul_mod
@@ -118,9 +117,9 @@ def test_hensel_split_examples():
 def test_hensel_split_rejects_noncoprime():
     # congruent parts that do not multiply back exactly are refused
     with pytest.raises(ValueError, match="coprime"):
-        hensel_split(P(1, 2, 1), [[2, 1], [2, 1]], 3, 3)
+        lift_factorization(P(1, 2, 1).coeffs, [[2, 1], [2, 1]], 3, 3)
     # congruent parts multiplying back exactly are passed through
-    assert hensel_split(P(1, 2, 1), [[1, 1], [1, 1]], 3, 3) == [[1, 1], [1, 1]]
+    assert lift_factorization(P(1, 2, 1).coeffs, [[1, 1], [1, 1]], 3, 3) == [[1, 1], [1, 1]]
 
 
 def test_hensel_split_random_reconstruction():
@@ -138,7 +137,7 @@ def test_hensel_split_random_reconstruction():
         if len(gp.gf_gcd([c % p for c in g], [c % p for c in h], p)) != 1:
             continue
         f = _mul_mod(g, h, p ** k)
-        lifted = hensel_split(f, [[c % p for c in g], [c % p for c in h]], p, k)
+        lifted = lift_factorization(f, [[c % p for c in g], [c % p for c in h]], p, k)
         prod = [1]
         for piece in lifted:
             prod = _mul_mod(piece, prod, p ** k)

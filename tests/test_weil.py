@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from weilkit.checks import VerificationError
 from weilkit.intpoly import IntPolynomial, divmod_exact
 from weilkit.weil import (
     _MR_LIMIT,
@@ -54,6 +55,13 @@ def test_validate_accepts():
     assert validate_weil(P(-2, 0, 1), C2).is_real
     assert validate_weil(P(-2, 1), C4).is_real
     assert validate_weil(P(2, 1), C4).is_real
+
+
+def test_not_weil_error_checks_reason():
+    # a check, not an assert: it holds under python -O too
+    with pytest.raises(VerificationError, match="unknown rejection reason"):
+        NotWeilError("not-a-reason")
+    assert NotWeilError("reducible", "zero is a root").reason == "reducible"
 
 
 def test_validate_rejects():
