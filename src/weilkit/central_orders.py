@@ -29,7 +29,8 @@ from math import lcm
 from operator import mul
 
 from .checks import verify
-from .intmatrix import IntegerMatrix, det, elementary_divisors
+from .intmatrix import IntegerMatrix, det, elementary_divisors, integer_inverse
+from .tablering import table_product
 from .weil import WeilSet, weil_set
 
 
@@ -62,29 +63,6 @@ def _integer_rows(vectors):
     return [[c.numerator * (scale // c.denominator) for c in row] for row in vectors], scale
 
 
-def _integer_inverse(rows):
-    """(X, e) with X W = W X = e I and e = +-det(W) for a square integer
-    matrix W, by fraction-free Gauss-Jordan elimination on [W | I]: every
-    division is exact, and a zero pivot column means W is singular."""
-    n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("singular basis matrix")
-        a[k], a[piv] = a[piv], a[k]
-        pivot_row = a[k]
-        pk = pivot_row[k]
-        for i in range(n):
-            f = a[i][k]
-            if i != k:
-                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = pk
-    # [W | I] is now [e I | e W^-1]
-    return [row[n:] for row in a], prev
-
-
 @dataclass(frozen=True)
 class CentralOrder:
     weil_set: WeilSet
@@ -98,7 +76,7 @@ class CentralOrder:
 
     def __post_init__(self):
         rows, scale = _integer_rows(self.basis_vectors)
-        inverse, e = _integer_inverse(rows)
+        inverse, e = integer_inverse(rows)
         object.__setattr__(self, "_solve", (rows, scale, tuple(zip(*inverse)), e))
         if self.table is None:
             object.__setattr__(self, "table", self._closed_table())
@@ -145,17 +123,7 @@ class CentralOrder:
 
     def multiply(self, a, b):
         """Product in order coordinates via the integer table."""
-        d = self.rank
-        out = [0] * d
-        for i in range(d):
-            if a[i]:
-                for j in range(d):
-                    if b[j]:
-                        c = a[i] * b[j]
-                        row = self.table[i][j]
-                        for t in range(d):
-                            out[t] += c * row[t]
-        return out
+        return table_product(self.table, a, b)
 
     def evaluate_symmetric(self, h):
         """Evaluate a symmetric F/V polynomial with integer exponents via the

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .central_orders import build_order
 from .intmatrix import zpk_canonical, zpk_smith
 from .padic import WittRingModel
+from .tablering import TableRing, lift_idempotent, split_idempotents
 from .weil import WeilSet
 
 
@@ -318,61 +319,6 @@ def associativity_report(alg, with_witt_coefficient=True):
     return count
 
 
-class _ZpkRing:
-    """Commutative ring (Z/p^k)^d with a fixed multiplication table."""
-
-    def __init__(self, table, one, p, k):
-        self.table = table
-        self.one = tuple(c % p ** k for c in one)
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        self.d = len(table)
-
-    def mul(self, u, v):
-        out = [0] * self.d
-        for i in range(self.d):
-            if u[i]:
-                for j in range(self.d):
-                    if v[j]:
-                        c = (u[i] * v[j]) % self.q
-                        row = self.table[i][j]
-                        for t in range(self.d):
-                            out[t] = (out[t] + c * row[t]) % self.q
-        return tuple(out)
-
-    def add(self, u, v):
-        return tuple((a + b) % self.q for a, b in zip(u, v))
-
-    def sub(self, u, v):
-        return tuple((a - b) % self.q for a, b in zip(u, v))
-
-    def scal(self, c, u):
-        return tuple((c * a) % self.q for a in u)
-
-    def inv(self, u):
-        """Inverse of a unit by mod-p solve plus Newton lifting."""
-        from .intmatrix import zpk_solve
-
-        rows = []
-        for i in range(self.d):
-            e = [1 if j == i else 0 for j in range(self.d)]
-            col = self.mul(u, e)
-            rows.append(col)
-        mat = [[rows[j][i] % self.p for j in range(self.d)] for i in range(self.d)]
-        x0 = zpk_solve(mat, [c % self.p for c in self.one], self.p, 1, self.d)
-        if x0 is None:
-            raise ZeroDivisionError("not a unit")
-        x = tuple(x0)
-        prec = 1
-        while prec < self.k:
-            ux = self.mul(u, x)
-            x = self.mul(x, self.sub(self.scal(2, self.one), ux))
-            prec *= 2
-        assert self.mul(u, x) == self.one
-        return x
-
-
 class _WittTensor:
     """W tensor A: free A-module on the Witt power basis with the twisted
     ring structure; elements are tuples of r ring elements."""
@@ -501,34 +447,18 @@ def ordinary_matrix_check(alg, search_cap=20000):
     p, k, r = alg.p, alg.k, alg.r
     order = build_order(alg.weil_set)
     deg = order.rank
-    table = [
-        [[int(c) % p ** k for c in cell] for cell in row] for row in order.table
-    ]
-    ring = _ZpkRing(table, order._unit_coords(), p, k)
-    f_im = tuple(c % p ** k for c in order._coords_of_label("F"))
-    v_im = tuple(c % p ** k for c in order._coords_of_label("V"))
+    ring = TableRing(order.table, order._unit_coords(), p, k)
+    f_im = ring.reduce(order._coords_of_label("F"))
+    v_im = ring.reduce(order._coords_of_label("V"))
 
-    # split off the part where F is a unit
-    from .padicorders import _ModPAlgebra, _split_idempotents
-
-    modp = _ModPAlgebra.from_table(
-        [[[c % p for c in cell] for cell in row] for row in table],
-        [c % p for c in ring.one],
-        p,
-    )
-    idems = _split_idempotents(modp)
+    # split off the part where F is a unit: the sum of the primitive
+    # idempotents mod p at which F is not nilpotent, lifted to p^k
+    modp = TableRing(order.table, ring.one, p)
     e_f = tuple([0] * deg)
-    for e in idems:
-        fe = modp.mul([c % p for c in f_im], e)
-        power = fe
-        nilpotent = False
-        for _ in range(deg + 1):
-            power = modp.mul(power, fe)
-        if not any(power):
-            nilpotent = True
-        if not nilpotent:
-            e_f = ring.add(e_f, tuple(e))
-    e_f = _lift_ring_idempotent(ring, e_f)
+    for e in split_idempotents(modp):
+        if any(modp.power(modp.mul(f_im, e), deg + 2)):
+            e_f = ring.add(e_f, e)
+    e_f = lift_idempotent(ring, e_f)
     e_v = ring.sub(ring.one, e_f)
     if not any(e_f) or not any(e_v):
         return OrdinaryMatrixReport(
@@ -671,18 +601,6 @@ def _vec_of_matrix(cols, r, deg):
 def _witt_scalar(tensor, witt_elt):
     out = [tensor.ring.scal(c, tensor.ring.one) for c in witt_elt]
     return tuple(out)
-
-
-def _lift_ring_idempotent(ring, e):
-    cur = tuple(e)
-    for _ in range(ring.k.bit_length() + 3):
-        sq = ring.mul(cur, cur)
-        if sq == cur:
-            return cur
-        cube = ring.mul(sq, cur)
-        cur = tuple((3 * a - 2 * b) % ring.q for a, b in zip(sq, cube))
-    assert ring.mul(cur, cur) == cur, "ring idempotent lift failed"
-    return cur
 
 
 def _solve_norm_equation(tensor, target, search_cap):

@@ -5,6 +5,11 @@ first, normalized so the last entry is nonzero ([] is zero).  Factorization
 runs squarefree / distinct-degree / equal-degree splitting; the equal-degree
 step draws its splitting candidates from a fixed deterministic sequence so
 repeated runs factor identically.
+
+`gf_normal`, `gf_add`, `gf_sub`, `gf_mul` and `gf_divmod`/`gf_mod` hold for
+any modulus m, prime or not, when the divisor's leading coefficient is a
+unit mod m (a monic divisor, say): Hensel lifting runs them mod p^k.  The
+gcd, irreducibility and factorization routines need m prime.
 """
 
 from __future__ import annotations

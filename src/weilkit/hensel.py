@@ -2,56 +2,13 @@
 
 All polynomials here are integer coefficient lists, constant term first,
 with monic inputs.  Lifting is linear (one p-digit per round), which is
-plenty fast at the precisions this library uses.
+plenty fast at the precisions this library uses.  Arithmetic mod p^k is
+gfpoly's, which holds for any modulus when divisors are monic.
 """
 
 from __future__ import annotations
 
 from . import gfpoly as gp
-
-
-def _mod_poly(a, m):
-    out = [c % m for c in a]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _mul_mod(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _sub_mod(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _divmod_monic_mod(a, b, m):
-    """Division by a monic polynomial, coefficients mod m."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] % m
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - c * b[i]) % m
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
 
 
 def lift_pair(f, g0, h0, p, k):
@@ -69,14 +26,14 @@ def lift_pair(f, g0, h0, p, k):
     modulus = p
     while modulus < p ** k:
         modulus *= p
-        e = _sub_mod(f, _mul_mod(g, h, modulus), modulus)
+        e = gp.gf_sub(f, gp.gf_mul(g, h, modulus), modulus)
         # g += e*t mod g ; h += e*s mod h   (all mod modulus)
-        dg = _divmod_monic_mod(_mul_mod(e, t, modulus), g, modulus)[1]
-        dh = _divmod_monic_mod(_mul_mod(e, s, modulus), h, modulus)[1]
+        dg = gp.gf_mod(gp.gf_mul(e, t, modulus), g, modulus)
+        dh = gp.gf_mod(gp.gf_mul(e, s, modulus), h, modulus)
         g = _add_keep_monic(g, dg, modulus, len(g0) - 1)
         h = _add_keep_monic(h, dh, modulus, len(h0) - 1)
     q = p ** k
-    return _mod_poly(g + [0] * 0, q), _mod_poly(h, q)
+    return gp.gf_normal(g, q), gp.gf_normal(h, q)
 
 
 def _add_keep_monic(a, d, m, deg):
@@ -120,9 +77,9 @@ def lift_factorization(f, parts, p, k):
         # accept parts given at full precision that multiply back exactly
         prod_k = [1]
         for pt in parts:
-            prod_k = _mul_mod(_mod_poly(pt, q), prod_k, q)
-        if prod_k == _mod_poly(f, q):
-            return [_mod_poly(pt, q) for pt in parts]
+            prod_k = gp.gf_mul(pt, prod_k, q)
+        if prod_k == gp.gf_normal(f, q):
+            return [gp.gf_normal(pt, q) for pt in parts]
         raise ValueError("factors not coprime mod p")
     parts = norm_parts
     prod = [1]
@@ -131,7 +88,7 @@ def lift_factorization(f, parts, p, k):
     if prod != gp.gf_normal(list(f), p):
         raise ValueError("parts do not multiply to f mod p")
     if len(parts) == 1:
-        return [_mod_poly(f, p ** k)]
+        return [gp.gf_normal(f, q)]
     out = []
     rest_f = list(f)
     rest_parts = list(parts)
@@ -144,5 +101,5 @@ def lift_factorization(f, parts, p, k):
         out.append(g)
         rest_f = h
         rest_parts = rest_parts[1:]
-    out.append(_mod_poly(rest_f, p ** k))
+    out.append(gp.gf_normal(rest_f, q))
     return out

@@ -3,8 +3,11 @@
 Matrices are tuples of tuples of Python ints.  The Smith form tracks both
 unimodular transforms; pivoting always selects a smallest-absolute-value
 nonzero entry, which keeps intermediate growth tame at the sizes this
-library works with.  A few mod-p and mod-p^k helpers used by the lattice
-and center computations live here as well.
+library works with.  `integer_inverse` is the one exact inverter: a
+fraction-free Gauss-Jordan solve (Bareiss 1968) shared by the central and the
+p-maximal orders.  A few mod-p and mod-p^k helpers used by the lattice and
+center computations live here as well; `rref_mod_p` is the one echelon form
+mod p.
 """
 
 from __future__ import annotations
@@ -90,6 +93,29 @@ def det(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def integer_inverse(rows):
+    """(X, e) with X W = W X = e I and e = +-det(W) for a square integer
+    matrix W, by fraction-free Gauss-Jordan elimination on [W | I]: every
+    division is exact, and a zero pivot column means W is singular."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("singular basis matrix")
+        a[k], a[piv] = a[piv], a[k]
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        for i in range(n):
+            f = a[i][k]
+            if i != k:
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pk
+    # [W | I] is now [e I | e W^-1]
+    return [row[n:] for row in a], prev
 
 
 def smith_normal_form(m):

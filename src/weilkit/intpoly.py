@@ -168,8 +168,6 @@ class IntPolynomial:
     def primitive_part(self):
         g = self.content()
         if g <= 1:
-            if not self.is_zero and self.lc < 0 and g == 1:
-                return self
             return self
         return IntPolynomial(tuple(c // g for c in self.coeffs))
 
@@ -239,7 +237,10 @@ def squarefree_part(p):
 
 
 def divmod_exact(a, b):
-    """Division in Z[x] when it is exact; raises ValueError otherwise."""
+    """Division in Z[x] when it is exact; raises ValueError otherwise, and
+    ZeroDivisionError when b is zero."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
     a = list(a.coeffs)
     bc = b.coeffs
     db, lb = len(bc) - 1, bc[-1]

@@ -6,7 +6,9 @@ multiplier-ring (round-2) iteration, split its reduction mod p into local
 components through Frobenius kernels plus idempotent lifting, and read off
 (e, f, v(pi)) per component.  Everything is exact integer/rational linear
 algebra; the caller re-verifies the results against the degree and
-valuation-sum invariants.
+valuation-sum invariants.  The mod-p and mod-p^N arithmetic runs in
+`tablering.TableRing` on the order's integer multiplication table, and every
+check raises `VerificationError`, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .intmatrix import IntegerMatrix, det, hermite_normal_form, nullspace_mod_p
-from . import gfpoly as gp
+from .checks import VerificationError, verify
+from .intmatrix import (
+    IntegerMatrix,
+    det,
+    hermite_normal_form,
+    integer_inverse,
+    nullspace_mod_p,
+    rref_mod_p,
+)
+from .tablering import TableRing, lift_idempotent, radical, split_idempotents
 
 
 class _Field:
@@ -52,22 +62,11 @@ class _Field:
         return out
 
 
-def _invert_fraction_matrix(rows):
-    d = len(rows)
-    a = [
-        [Fraction(c) for c in row] + [Fraction(1 if i == j else 0) for j in range(d)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(d):
-        piv = next(i for i in range(col, d) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for i in range(d):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [c - f * x for c, x in zip(a[i], a[col])]
-    return [row[d:] for row in a]
+def _inverse_of_lattice(int_rows, den):
+    """Exact inverse of the basis matrix int_rows / den: den X / e, for the
+    integer solve X W = e I of W = int_rows."""
+    x, e = integer_inverse(int_rows)
+    return [[Fraction(den * c, e) for c in row] for row in x]
 
 
 def _hnf_rational_lattice(rows, d):
@@ -80,7 +79,7 @@ def _hnf_rational_lattice(rows, d):
     int_rows = [[int(c * den) for c in row] for row in rows]
     h, _ = hermite_normal_form(IntegerMatrix(int_rows))
     out = [list(r) for r in h.rows if any(r)]
-    assert len(out) == d, "full-rank lattice expected"
+    verify(len(out) == d, "full-rank lattice expected")
     g = den
     for row in out:
         for c in row:
@@ -114,7 +113,7 @@ class Order:
     def coords(self, vec):
         """Coordinates of a power-basis Fraction vector in the order basis."""
         if self._inv is None:
-            self._inv = _invert_fraction_matrix(self.basis_fractions())
+            self._inv = _inverse_of_lattice(self.rows, self.den)
         inv = self._inv
         # vec * inv (row vector times matrix): basis rows B, solving x B = vec
         return [
@@ -134,7 +133,7 @@ class Order:
                 coords = self.coords(self.field.mul(basis[i], basis[j]))
                 ints = []
                 for c in coords:
-                    assert c.denominator == 1, "not multiplicatively closed"
+                    verify(c.denominator == 1, "not multiplicatively closed")
                     ints.append(int(c))
                 row.append(ints)
             table.append(row)
@@ -144,7 +143,7 @@ class Order:
     def one_coords(self):
         out = []
         for c in self.coords([Fraction(1)] + [Fraction(0)] * (self.d - 1)):
-            assert c.denominator == 1
+            verify(c.denominator == 1, "1 outside the order")
             out.append(int(c))
         return out
 
@@ -156,7 +155,7 @@ class Order:
             vec[0] = Fraction(-self.field.poly.coeffs[0])
         out = []
         for c in self.coords(vec):
-            assert c.denominator == 1, "x outside the order"
+            verify(c.denominator == 1, "x outside the order")
             out.append(int(c))
         return out
 
@@ -164,110 +163,13 @@ class Order:
         return self.den == other.den and self.rows == other.rows
 
 
-# -- mod-p algebra helpers --------------------------------------------------
-
-
-def _echelon(rows, p, width):
-    ech, piv = [], []
-    for row in rows:
-        row = [c % p for c in row]
-        for r, c in zip(ech, piv):
-            if row[c]:
-                f = row[c]
-                row = [(x - f * y) % p for x, y in zip(row, r)]
-        for c in range(width):
-            if row[c]:
-                inv = pow(row[c], -1, p)
-                row = [(inv * x) % p for x in row]
-                ech.append(row)
-                piv.append(c)
-                break
-    return ech, piv
-
-
-def _transpose(rows, d):
-    return [[rows[j][i] for j in range(len(rows))] for i in range(d)]
-
-
-class _ModPAlgebra:
-    """A commutative algebra over F_p given by a multiplication table, with
-    Frobenius and radical computations."""
-
-    def __init__(self, order, p):
-        self.p = p
-        self.d = order.d
-        self.table = order.multiplication_table()
-        self.one = [c % p for c in order.one_coords()]
-        self._radical = None
-
-    @classmethod
-    def from_table(cls, table, one, p):
-        obj = cls.__new__(cls)
-        obj.p = p
-        obj.d = len(table)
-        obj.table = table
-        obj.one = [c % p for c in one]
-        obj._radical = None
-        return obj
-
-    def mul(self, u, v):
-        p, d, table = self.p, self.d, self.table
-        out = [0] * d
-        for i in range(d):
-            if u[i] % p:
-                for j in range(d):
-                    if v[j] % p:
-                        c = (u[i] * v[j]) % p
-                        row = table[i][j]
-                        for t in range(d):
-                            out[t] = (out[t] + c * row[t]) % p
-        return out
-
-    def pth_power(self, u):
-        result = None
-        base = list(u)
-        n = self.p
-        while n:
-            if n & 1:
-                result = list(base) if result is None else self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def radical_rows(self):
-        """Basis of the nilradical: kernel of Frobenius iterated past dim."""
-        if self._radical is not None:
-            return self._radical
-        d, p = self.d, self.p
-        frob = []
-        for i in range(d):
-            e = [1 if j == i else 0 for j in range(d)]
-            frob.append(self.pth_power(e))
-        mat = [list(r) for r in frob]
-        size = p
-        while size < d:
-            size *= p
-            mat = [self._apply(frob, r) for r in mat]
-        self._radical = nullspace_mod_p(_transpose(mat, d), p, d)
-        return self._radical
-
-    def _apply(self, frob, vec):
-        d, p = self.d, self.p
-        out = [0] * d
-        for i in range(d):
-            if vec[i] % p:
-                for t in range(d):
-                    out[t] = (out[t] + vec[i] * frob[i][t]) % p
-        return out
-
-
 def p_radical_lattice(order, p):
     """The p-radical ideal of the order: (rows, den) sublattice."""
-    alg = _ModPAlgebra(order, p)
+    ring = TableRing(order.multiplication_table(), order.one_coords(), p)
     basis = order.basis_fractions()
     d = order.d
     rows = []
-    for vec in alg.radical_rows():
+    for vec in radical(ring):
         lifted = [Fraction(0)] * d
         for i, c in enumerate(vec):
             if c:
@@ -285,7 +187,7 @@ def multiplier_ring(order, ideal_rows, ideal_den, p):
     field = order.field
     d = order.d
     ideal_basis = [[Fraction(c, ideal_den) for c in row] for row in ideal_rows]
-    inv_ideal = _invert_fraction_matrix(ideal_basis)
+    inv_ideal = _inverse_of_lattice(ideal_rows, ideal_den)
     order_basis = order.basis_fractions()
     rows = []
     per_i = []
@@ -297,7 +199,7 @@ def multiplier_ring(order, ideal_rows, ideal_den, p):
                 sum(prod[u] * inv_ideal[u][t] for u in range(d)) for t in range(d)
             ]
             for c in coords:
-                assert c.denominator == 1, "ideal not stable under the order"
+                verify(c.denominator == 1, "ideal not stable under the order")
             mats.append([int(c) for c in coords])
         per_i.append(mats)
     for j in range(d):
@@ -326,203 +228,56 @@ def p_maximal_order(poly, p, max_rounds=64):
         if bigger.same_lattice(order):
             return order
         order = bigger
-    raise AssertionError("p-maximalization did not stabilize")
-
-
-# -- idempotent splitting ----------------------------------------------------
-
-
-def _minimal_polynomial_in(alg, e, b, reduce_mod_j):
-    """Monic minimal polynomial over F_p of b inside the unital algebra eS."""
-    d, p = alg.d, alg.p
-    powers = [reduce_mod_j(e)]
-    rows = [powers[0]]
-    while True:
-        nxt = reduce_mod_j(alg.mul(powers[-1], b))
-        ech, _ = _echelon(rows + [nxt], p, d)
-        if len(ech) < len(rows) + 1:
-            powers.append(nxt)
-            break
-        powers.append(nxt)
-        rows.append(nxt)
-    k = len(powers) - 1
-    # solve sum_{j<k} a_j powers[j] = powers[k]
-    mat = [[powers[j][t] for j in range(k)] for t in range(d)]
-    aug = [row + [powers[k][t]] for t, row in enumerate(mat)]
-    ech, piv = _echelon(aug, p, k + 1)
-    sol = [0] * k
-    for row, c in zip(reversed(ech), reversed(piv)):
-        assert c < k, "inconsistent minimal polynomial system"
-        val = row[k]
-        for j in range(c + 1, k):
-            val = (val - row[j] * sol[j]) % p
-        sol[c] = val % p
-    return [(-c) % p for c in sol] + [1]
-
-
-def _split_idempotents(alg):
-    """Primitive idempotents of A = O/pO (commutative), via the Berlekamp
-    subalgebra of S = A/J and Lagrange projectors, lifted through J."""
-    p, d = alg.p, alg.d
-    radical = alg.radical_rows()
-    ech_j, piv_j = _echelon([list(r) for r in radical], p, d)
-
-    def reduce_mod_j(u):
-        u = [c % p for c in u]
-        for row, c in zip(ech_j, piv_j):
-            if u[c]:
-                f = u[c]
-                u = [(x - f * y) % p for x, y in zip(u, row)]
-        return u
-
-    comp = [i for i in range(d) if i not in piv_j]
-    # Berlekamp subalgebra: kernel of (Frobenius - id) on S
-    rows = []
-    for i in comp:
-        e = [0] * d
-        e[i] = 1
-        e = reduce_mod_j(e)
-        img = reduce_mod_j(alg.pth_power(e))
-        diff = [(x - y) % p for x, y in zip(img, e)]
-        rows.append([diff[t] for t in comp])
-    kernel = nullspace_mod_p(_transpose(rows, len(comp)), p, len(comp))
-    separators = []
-    for vec in kernel:
-        u = [0] * d
-        for c, i in zip(vec, comp):
-            u[i] = c
-        separators.append(reduce_mod_j(u))
-
-    blocks = [reduce_mod_j(alg.one)]
-    for b in separators:
-        new_blocks = []
-        for e in blocks:
-            minpoly = _minimal_polynomial_in(alg, e, b, reduce_mod_j)
-            # b is Frobenius-fixed, so the minimal polynomial splits into
-            # distinct linear factors over F_p
-            _, factors = gp.factor(minpoly, p)
-            roots = []
-            for f, mult in factors:
-                assert len(f) == 2 and mult == 1, "separator not split"
-                roots.append((-f[0]) % p)
-            if len(roots) == 1:
-                new_blocks.append(e)
-                continue
-            for c in roots:
-                proj = e
-                denom = 1
-                for c2 in roots:
-                    if c2 == c:
-                        continue
-                    shifted = [
-                        (x - c2 * y) % p for x, y in zip(b, alg.one)
-                    ]
-                    proj = reduce_mod_j(alg.mul(proj, shifted))
-                    denom = (denom * (c - c2)) % p
-                inv = pow(denom, -1, p)
-                new_blocks.append([(inv * x) % p for x in proj])
-        blocks = new_blocks
-
-    return [_lift_idempotent(alg, e) for e in blocks]
-
-
-def _lift_idempotent(alg, e):
-    cur = list(e)
-    for _ in range(alg.d + 3):
-        sq = alg.mul(cur, cur)
-        if sq == cur:
-            return cur
-        cube = alg.mul(sq, cur)
-        cur = [(3 * x - 2 * y) % alg.p for x, y in zip(sq, cube)]
-    assert alg.mul(cur, cur) == cur, "idempotent lifting failed"
-    return cur
+    raise VerificationError("p-maximalization did not stabilize")
 
 
 # -- assembling place data ---------------------------------------------------
 
 
-def _component_dimension(alg, e):
-    rows = []
-    for i in range(alg.d):
-        basis_vec = [1 if j == i else 0 for j in range(alg.d)]
-        rows.append(alg.mul(e, basis_vec))
-    ech, _ = _echelon(rows, alg.p, alg.d)
-    return len(ech), rows
 
 
-def _residue_degree(alg, e_rows):
-    radical = [list(r) for r in alg.radical_rows()]
-    ech_j, _ = _echelon(radical, alg.p, alg.d)
-    ech_all, _ = _echelon(radical + e_rows, alg.p, alg.d)
-    return len(ech_all) - len(ech_j)
-
-
-def _component_valuation(order, e, p, r, dim_local):
-    """v_p(pi) at the component of the idempotent e: from the determinant of
-    multiplication by x*e + (1 - e) on the order mod p^N."""
-    d = order.d
-    n_prec = 2 * r * d + 8
-    mod = p ** n_prec
-    table = order.multiplication_table()
-
-    def mulv(u, v):
-        out = [0] * d
-        for i in range(d):
-            if u[i]:
-                for j in range(d):
-                    if v[j]:
-                        c = (u[i] * v[j]) % mod
-                        row = table[i][j]
-                        for t in range(d):
-                            out[t] = (out[t] + c * row[t]) % mod
-        return out
-
-    cur = [c % mod for c in e]
-    for _ in range(n_prec.bit_length() + 3):
-        sq = mulv(cur, cur)
-        if sq == cur:
-            break
-        cube = mulv(sq, cur)
-        cur = [(3 * a - 2 * b) % mod for a, b in zip(sq, cube)]
-    assert mulv(cur, cur) == cur, "mod p^N idempotent lift failed"
-    one = [c % mod for c in order.one_coords()]
-    complement = [(o - a) % mod for o, a in zip(one, cur)]
-    x_int = [c % mod for c in order.x_coords()]
-    target = [(a + b) % mod for a, b in zip(mulv(x_int, cur), complement)]
-    rows = []
-    for i in range(d):
-        basis_vec = [1 if j == i else 0 for j in range(d)]
-        rows.append(mulv(target, basis_vec))
-    determinant = det(IntegerMatrix(rows))
-    assert determinant != 0, "determinant vanished at working precision"
+def _component_valuation(ring, x_coords, e, dim_local):
+    """v_p(pi) at the component of the idempotent e of O/pO: from the
+    determinant of multiplication by x e + (1 - e) on the order mod p^N."""
+    e = lift_idempotent(ring, e)
+    target = ring.add(ring.mul(x_coords, e), ring.sub(ring.one, e))
+    determinant = det(IntegerMatrix([ring.mul(target, ring.basis(i)) for i in range(ring.d)]))
+    verify(determinant != 0, "determinant vanished at working precision")
     v = 0
-    while determinant % p == 0:
-        determinant //= p
+    while determinant % ring.p == 0:
+        determinant //= ring.p
         v += 1
-    assert v < n_prec - 1, "valuation at precision limit"
+    verify(v < ring.k - 1, "valuation at precision limit")
     return Fraction(v, dim_local)
 
 
 def places_from_order(poly, p, r):
     """(e, f, v(pi)) triples for all places above p of Q[x]/(poly); exact and
-    independent of the Newton-polygon pipeline."""
+    independent of the Newton-polygon pipeline.
+
+    The component eO/peO of a primitive idempotent e has dimension e f, and
+    its reduction modulo the nilradical J is the residue field, of dimension
+    f = rank(J + eA) - rank(J)."""
     order = p_maximal_order(poly, p)
-    alg = _ModPAlgebra(order, p)
-    idems = _split_idempotents(alg)
-    total = [0] * order.d
+    table, one, d = order.multiplication_table(), order.one_coords(), order.d
+    ring = TableRing(table, one, p)
+    idems = split_idempotents(ring)
+    rest = ring.one
     for e in idems:
-        total = [(x + y) % p for x, y in zip(total, e)]
-    assert total == alg.one, "idempotents do not sum to 1"
+        rest = ring.sub(rest, e)
+    verify(not any(rest), "idempotents do not sum to 1")
     for i in range(len(idems)):
         for j in range(i + 1, len(idems)):
-            assert not any(alg.mul(idems[i], idems[j])), "idempotents not orthogonal"
+            verify(not any(ring.mul(idems[i], idems[j])), "idempotents not orthogonal")
 
+    rad = radical(ring)
+    ring_n = TableRing(table, one, p, 2 * r * d + 8)
+    x_coords = order.x_coords()
     out = []
     for e in idems:
-        dim_local, e_rows = _component_dimension(alg, e)
-        f = _residue_degree(alg, e_rows)
-        assert dim_local % f == 0, "component dimension not divisible by f"
-        e_ram = dim_local // f
-        val = _component_valuation(order, e, p, r, dim_local)
-        out.append((e_ram, f, val))
+        e_rows = [ring.mul(e, ring.basis(i)) for i in range(d)]
+        dim_local = len(rref_mod_p(e_rows, p)[1])
+        f = len(rref_mod_p(rad + e_rows, p)[1]) - len(rad)
+        verify(dim_local % f == 0, "component dimension not divisible by f")
+        out.append((dim_local // f, f, _component_valuation(ring_n, x_coords, e, dim_local)))
     return out

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import isqrt
 
 from . import gfpoly as gp
-from .hensel import _mul_mod, lift_factorization
+from .hensel import lift_factorization
 from .intpoly import IntPolynomial, divmod_exact, is_squarefree
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -141,7 +141,7 @@ def _zassenhaus_irreducible(poly):
             for subset in combinations(indices, size):
                 prod = [1]
                 for i in subset:
-                    prod = _mul_mod(prod, lifted[i], pk)
+                    prod = gp.gf_mul(prod, lifted[i], pk)
                 cand = [c - pk if c > half else c for c in prod]
                 candidate = IntPolynomial(cand)
                 if candidate.degree == 0 or candidate.degree == n:

@@ -170,6 +170,46 @@ def test_enumerate_grid_byte_identical(capsys):
         assert hashlib.sha256(raw.encode()).hexdigest() == digest, (q, max_degree)
 
 
+# sha256 of the `--no-cache invariants` stdout of the 13 classes that take
+# the round-2 place route (perfbench/data/round2_classes.json), measured
+# before the mod-p and mod-p^N rings moved to `tablering`
+ROUND2_INVARIANTS_DIGESTS = {
+    (2, "8,-8,2,0,1,-2,1"):
+        "c49bcbdf08c629d8ae23041a7a19714dada6806b07158dd41ae2915e5f1d2544",
+    (2, "8,-8,6,-6,3,-2,1"):
+        "5216e908e22ef8fb85163ca81cd1d1222496058a50021f5ae30b6dcbe43c1ef7",
+    (2, "8,-4,0,0,0,-1,1"):
+        "acb1c811283aaa0d86dd42342dac0967770cf52f5fff005060fd9ec5d3250c8f",
+    (2, "8,0,-2,-2,-1,0,1"):
+        "d2f337992780ac9474d031c605cd13c95056e93c83bedfdca5c09cb1664bf244",
+    (2, "8,0,-2,2,-1,0,1"):
+        "060d71ada04831f1129201cad8276fd04a6097b86b2044c15ddf8b6d8b6d4470",
+    (2, "8,4,0,0,0,1,1"):
+        "be1f15d167b066decbdac028e525eded83542fd38e3cdc30093229b2b6d7b3c8",
+    (2, "8,8,2,0,1,2,1"):
+        "eaf36043cf2f58fe683750c43145cfea6d671531c0b6eb7ed5da687291044389",
+    (2, "8,8,6,6,3,2,1"):
+        "7ccf7072d6621e759a7510f664d0b51d6a650826d28a155e29acb02c9b2906d3",
+    (3, "9,0,3,0,1"):
+        "504e08f456f8a8221e151cf34218f3edf9c3c91c63dc5f9df94551aec95dd8a1",
+    (4, "16,-4,4,-1,1"):
+        "3c47d2115485030b9972d3cd8744d0a488e6046685695f1527d7048334e16db8",
+    (4, "16,0,-4,0,1"):
+        "8c0890e791961625a02556a70be9cd29dfa22bab9611fa0222602acae6ee757a",
+    (4, "16,8,1,2,1"):
+        "4ffb1d0ee741f34438edb819c0dd3239aab7f6048c96d5983e14a92f367bcaed",
+    (9, "81,0,-9,0,1"):
+        "dc7180f9ceeb4c581f5dd2d9b06bb165d2da9608d8bc0f480dc8facfc5f66e5c",
+}
+
+
+def test_round2_invariants_byte_identical(capsys):
+    for (q, poly), digest in ROUND2_INVARIANTS_DIGESTS.items():
+        code, _, raw = invoke(capsys, "--no-cache", "invariants", "--q", str(q), "--poly", poly)
+        assert code == 0
+        assert hashlib.sha256(raw.encode()).hexdigest() == digest, (q, poly)
+
+
 def test_large_prime_q_answers_quickly(capsys):
     q = "100000000000000000039"  # prime: trial division would take hours
     start = time.perf_counter()

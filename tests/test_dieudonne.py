@@ -120,6 +120,11 @@ def test_ordinary_matrix_check_verified():
     assert alg.mul(e2, e2) == e2
     assert alg.mul(e1, e2) == alg.zero()
     assert alg.add(e1, e2) == alg.one()
+    # pinned before the mod-p and mod-p^k rings moved to `tablering`
+    assert rep.idempotents == (
+        ((0, 0), (53, 0), (41, 0), (53, 0)),
+        ((0, 0), (28, 0), (41, 0), (28, 0)),
+    )
 
 
 def test_ordinary_matrix_check_rank_one():

@@ -181,6 +181,19 @@ def test_gcd_and_squarefree():
         divmod_exact(poly(1, 1, 1), poly(0, 2))
 
 
+def test_divmod_exact_by_zero_raises_zero_division():
+    for a in (poly(1, 1, 1), poly(3), IntPolynomial(())):
+        with pytest.raises(ZeroDivisionError):
+            divmod_exact(a, IntPolynomial(()))
+
+
+def test_primitive_part_divides_by_content_and_keeps_sign():
+    assert poly(-6, 4, -2).primitive_part() == poly(-3, 2, -1)
+    assert poly(1, 0, -1).primitive_part() == poly(1, 0, -1)
+    assert poly(-5).primitive_part() == poly(-1)
+    assert IntPolynomial(()).primitive_part() == IntPolynomial(())
+
+
 def test_discriminant():
     assert discriminant(poly(-5, 0, 1)) == 20  # x^2 - 5
     assert discriminant(poly(2, -3, 1)) == 1  # (x-1)(x-2)

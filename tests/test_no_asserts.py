@@ -2,8 +2,8 @@
 
 `assert` vanishes under `python -O`, so exact checks call `checks.verify`.
 These modules have no `assert` left; the test keeps it that way, so the
-count can only fall.  `dieudonne`, `hondatate`, `padic` and `padicorders`
-still have some.
+count can only fall.  `dieudonne`, `hondatate` and `padic` still have
+some.
 """
 
 import ast
@@ -20,7 +20,9 @@ ASSERT_FREE = (
     "hensel",
     "intmatrix",
     "intpoly",
+    "padicorders",
     "supersingular",
+    "tablering",
     "weil",
     "zfactor",
 )

@@ -107,10 +107,10 @@ def test_hensel_split_examples():
     out = lift_factorization(P(6, -7, 1).coeffs, [[-1, 1], [-6, 1]], 5, 2)
     assert out == [[24, 1], [19, 1]]
     prod = [1]
-    from weilkit.hensel import _mul_mod
+    from weilkit.gfpoly import gf_mul
 
     for f in out:
-        prod = _mul_mod(f, prod, 25)
+        prod = gf_mul(f, prod, 25)
     assert prod == [6, 18, 1]  # x^2 - 7x + 6 mod 25
 
 
@@ -124,7 +124,7 @@ def test_hensel_split_rejects_noncoprime():
 
 def test_hensel_split_random_reconstruction():
     rng = random.Random(23)
-    from weilkit.hensel import _mul_mod
+    from weilkit.gfpoly import gf_mul
 
     for _ in range(40):
         p = rng.choice([2, 3, 5])
@@ -136,11 +136,11 @@ def test_hensel_split_random_reconstruction():
 
         if len(gp.gf_gcd([c % p for c in g], [c % p for c in h], p)) != 1:
             continue
-        f = _mul_mod(g, h, p ** k)
+        f = gf_mul(g, h, p ** k)
         lifted = lift_factorization(f, [[c % p for c in g], [c % p for c in h]], p, k)
         prod = [1]
         for piece in lifted:
-            prod = _mul_mod(piece, prod, p ** k)
+            prod = gf_mul(piece, prod, p ** k)
         assert prod == f
         for piece, part in zip(lifted, [g, h]):
             assert [c % p for c in piece] == [c % p for c in part]
