@@ -41,6 +41,9 @@ from .supersingular import (
 from .weil import GlobalContext, NotWeilError, enumerate_weil, validate_weil, weil_set
 
 SCHEMA = "weilkit/1"
+# example-sec9 closes (p^4 - 1)/(p - 1) cyclic submodules, so its cost grows
+# as p^3: about 0.6 s at p = 23 and 1.7 s at p = 31 (one Xeon vCPU, Python 3.11)
+SEC9_MAX_P = 23
 
 
 class RequestError(Exception):
@@ -211,6 +214,8 @@ def cmd_dieudonne_center(args):
 
 def cmd_example_sec9(args):
     p = args.p
+    if p > SEC9_MAX_P:
+        raise RequestError("p must be at most %d" % SEC9_MAX_P)
     ctx = _context(GlobalContext, p, 2)
     if p % 4 != 3:
         raise DomainRejection({"p": p, "reason": "p must be 3 mod 4"})
@@ -401,7 +406,12 @@ def build_parser():
         "example-sec9",
         help="the fully explicit supersingular elliptic example over F_(p^2)",
     )
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument(
+        "--p",
+        type=int,
+        required=True,
+        help="a prime p = 3 mod 4, at most %d (the cost grows as p^3)" % SEC9_MAX_P,
+    )
     sp.set_defaults(func=cmd_example_sec9)
 
     sp = sub.add_parser("gamma-witness", help="index witnesses for the rank divisor")

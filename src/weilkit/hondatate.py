@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .checks import verify
 from .intpoly import IntPolynomial
 from .padic import decompose_places
 from .weil import GlobalContext, WeilClass, slope_type, validate_weil
@@ -63,13 +64,13 @@ def honda_tate_record(cls, overrides=None):
     s = lcm(*denoms) if denoms else 1
     deg = cls.degree
     two_dim = s * deg
-    assert two_dim % 2 == 0, "s*deg must be even"
+    verify(two_dim % 2 == 0, "s*deg must be even")
     dim = two_dim // 2
-    assert (2 * ctx.r) % s == 0, "s must divide 2r"
+    verify((2 * ctx.r) % s == 0, "s must divide 2r")
     m = 2 * ctx.r // s
     reduced = None
     if not (ctx.r % 2 == 1 and cls.is_real):
-        assert ctx.r % s == 0, "s must divide r away from the odd real class"
+        verify(ctx.r % s == 0, "s must divide r away from the odd real class")
         reduced = ctx.r // s
     kind, _vals = slope_type(cls)
     return HondaTateRecord(
@@ -141,15 +142,15 @@ def gamma_witnesses(ctx):
     else:
         real_cls = validate_weil(IntPolynomial((-ctx.p ** (ctx.r // 2), 1)), ctx)
     rec2 = honda_tate_record(real_cls)
-    assert rec2.s == 2, "real witness must have index 2"
+    verify(rec2.s == 2, "real witness must have index 2")
     if ctx.r <= 2:
         return GammaWitnesses(
             ctx, None, rec2, divisor, note="s = r witness needs r > 2"
         )
     witness = validate_weil(IntPolynomial((ctx.q, -ctx.p, 1)), ctx)
     rec_r = honda_tate_record(witness)
-    assert rec_r.s == ctx.r, "x^2 - px + q must have index r"
-    assert lcm(2 * rec_r.s, 2 * rec2.s) == divisor
+    verify(rec_r.s == ctx.r, "x^2 - px + q must have index r")
+    verify(lcm(2 * rec_r.s, 2 * rec2.s) == divisor, "witness indices do not give the divisor")
     return GammaWitnesses(ctx, rec_r, rec2, divisor)
 
 
@@ -163,6 +164,6 @@ def minimal_cogenerator_dimension_supersingular_elliptic(cls):
     if record.slope_kind != "supersingular":
         raise ValueError("supersingular class required")
     if cls.is_rational:
-        assert cls.context.r % 2 == 0
+        verify(cls.context.r % 2 == 0, "a rational class needs even r")
         return cls.context.r // 2
     return cls.context.r

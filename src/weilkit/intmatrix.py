@@ -1,9 +1,13 @@
 """Exact integer matrices: Smith and Hermite normal forms, determinants.
 
-Matrices are tuples of tuples of Python ints.  The Smith form tracks both
-unimodular transforms; pivoting always selects a smallest-absolute-value
-nonzero entry, which keeps intermediate growth tame at the sizes this
-library works with.  `integer_inverse` is the one exact inverter: a
+Matrices are tuples of tuples of Python ints.  `hermite_rows` is the one
+Hermite core: a row HNF that carries no transform.  `hermite_normal_form`
+runs it on [M | I] to read off U, and `kernel_basis` on [M^T | I]; the
+callers that only need the rows call it directly.  The Smith form (for
+elementary divisors and kernels mod p^k) tracks both unimodular
+transforms.  Pivoting always selects a smallest-absolute-value nonzero
+entry, which keeps intermediate growth tame at the sizes this library
+works with.  `integer_inverse` is the one exact inverter: a
 fraction-free Gauss-Jordan solve (Bareiss 1968) shared by the central and the
 p-maximal orders.  A few mod-p and mod-p^k helpers used by the lattice and
 center computations live here as well; `rref_mod_p` is the one echelon form
@@ -163,25 +167,20 @@ def smith_normal_form(m):
                         piv = (i, j)
             if piv is None:
                 return
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            dirty = True
-            while dirty:
-                dirty = False
+            while piv is not None:
+                swap_rows(t, piv[0])
+                swap_cols(t, piv[1])
                 for i in range(t + 1, nr):
                     if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        row_op(i, t, q)
-                        if a[i][t]:
-                            swap_rows(t, i)
-                            dirty = True
+                        row_op(i, t, a[i][t] // a[t][t])
                 for j in range(t + 1, nc):
                     if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        col_op(j, t, q)
-                        if a[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
+                        col_op(j, t, a[t][j] // a[t][t])
+                # the smallest remainder left in row or column t is the next
+                # pivot, which keeps the entries from growing exponentially
+                rest = [(i, t) for i in range(t + 1, nr) if a[i][t]]
+                rest += [(t, j) for j in range(t + 1, nc) if a[t][j]]
+                piv = min(rest, key=lambda ij: abs(a[ij[0]][ij[1]]), default=None)
             t += 1
 
     reduce_block(0)
@@ -214,70 +213,71 @@ def elementary_divisors(m):
     return d.diagonal()
 
 
+def hermite_rows(rows):
+    """The nonzero rows of the row-style Hermite normal form of the integer
+    rows, without the transform: echelon shape, positive pivots and entries
+    above a pivot reduced to [0, pivot).  Every column below the current row
+    is brought to its gcd by repeated division by a smallest-absolute-value
+    entry."""
+    a = [list(r) for r in rows]
+    nr = len(a)
+    r = 0
+    for col in range(len(a[0]) if a else 0):
+        if r == nr:
+            break
+        while True:
+            live = [i for i in range(r, nr) if a[i][col]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(a[i][col]))
+            a[r], a[piv] = a[piv], a[r]
+            top, t = a[r], a[r][col]
+            done = True
+            for i in range(r + 1, nr):
+                x = a[i][col]
+                if x:
+                    c = x // t
+                    a[i] = [u - c * v for u, v in zip(a[i], top)]
+                    done = done and not a[i][col]
+            if done:
+                break
+        if a[r][col]:
+            if a[r][col] < 0:
+                a[r] = [-x for x in a[r]]
+            top, t = a[r], a[r][col]
+            for i in range(r):
+                c = a[i][col] // t
+                if c:
+                    a[i] = [u - c * v for u, v in zip(a[i], top)]
+            r += 1
+    return [tuple(row) for row in a[:r]]
+
+
 def hermite_normal_form(m):
     """Row-style HNF: returns (H, U) with U*M = H, U unimodular.
 
     H is upper triangular in echelon shape with positive pivots and entries
-    above a pivot reduced to [0, pivot).
+    above a pivot reduced to [0, pivot); its zero rows come last.  Both come
+    from `hermite_rows` on [M | I]: the M part of the Hermite form of
+    [M | I] is H, and its I part is U.
     """
-    a = [list(r) for r in m.rows]
     nr, nc = m.nrows, m.ncols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-
-    def row_op(i1, i2, c):
-        for j in range(nc):
-            a[i1][j] -= c * a[i2][j]
-        for j in range(nr):
-            u[i1][j] -= c * u[i2][j]
-
-    def swap(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    r = 0
-    for col in range(nc):
-        # gcd the column below row r
-        while True:
-            piv = None
-            for i in range(r, nr):
-                if a[i][col] != 0 and (piv is None or abs(a[i][col]) < abs(a[piv][col])):
-                    piv = i
-            if piv is None:
-                break
-            swap(r, piv)
-            done = True
-            for i in range(r + 1, nr):
-                if a[i][col]:
-                    q = a[i][col] // a[r][col]
-                    row_op(i, r, q)
-                    if a[i][col]:
-                        done = False
-            if done:
-                break
-        if r < nr and a[r][col] != 0:
-            if a[r][col] < 0:
-                for j in range(nc):
-                    a[r][j] = -a[r][j]
-                for j in range(nr):
-                    u[r][j] = -u[r][j]
-            for i in range(r):
-                q = a[i][col] // a[r][col]
-                if q:
-                    row_op(i, r, q)
-            r += 1
-            if r == nr:
-                break
-    return IntegerMatrix(a), IntegerMatrix(u)
+    aug = hermite_rows(
+        [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(m.rows)]
+    )
+    return IntegerMatrix([row[:nc] for row in aug]), IntegerMatrix([row[nc:] for row in aug])
 
 
 def kernel_basis(m):
-    """Basis of the integer kernel {x : M x = 0}, as rows."""
-    u, d, v = smith_normal_form(m)
-    rank = sum(1 for x in d.diagonal() if x != 0)
-    cols = []
-    for j in range(rank, m.ncols):
-        cols.append(tuple(v.rows[i][j] for i in range(m.ncols)))
-    return cols
+    """Basis of the integer kernel {x : M x = 0}, as rows: the rows of the
+    Hermite form of [M^T | I] whose M^T part is zero (Cohen, GTM 138, 2.4),
+    with the zero rows of M, which impose nothing, dropped first."""
+    live = [row for row in m.rows if any(row)]
+    k, n = len(live), m.ncols
+    h = hermite_rows(
+        [[row[j] for row in live] + [int(i == j) for i in range(n)] for j in range(n)]
+    )
+    return [row[k:] for row in h if not any(row[:k])]
 
 
 # -- modular helpers -----------------------------------------------------
@@ -341,9 +341,8 @@ def zpk_canonical(rows, p, k):
     stacked = [list(r) for r in rows] + [
         [q if i == j else 0 for j in range(nc)] for i in range(nc)
     ]
-    h, _ = hermite_normal_form(IntegerMatrix(stacked))
     out = []
-    for r in h.rows:
+    for r in hermite_rows(stacked):
         rr = tuple(c % q for c in r)
         if any(rr):
             out.append(rr)

@@ -20,7 +20,7 @@ from .checks import VerificationError, verify
 from .intmatrix import (
     IntegerMatrix,
     det,
-    hermite_normal_form,
+    hermite_rows,
     integer_inverse,
     nullspace_mod_p,
     rref_mod_p,
@@ -77,8 +77,7 @@ def _hnf_rational_lattice(rows, d):
         for c in row:
             den = den * c.denominator // gcd(den, c.denominator)
     int_rows = [[int(c * den) for c in row] for row in rows]
-    h, _ = hermite_normal_form(IntegerMatrix(int_rows))
-    out = [list(r) for r in h.rows if any(r)]
+    out = [list(r) for r in hermite_rows(int_rows)]
     verify(len(out) == d, "full-rank lattice expected")
     g = den
     for row in out:

@@ -14,15 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from .checks import VerificationError, verify as _verify
-from .intmatrix import (
-    IntegerMatrix,
-    det,
-    hermite_normal_form,
-    kernel_basis,
-    rref_mod_p,
-)
+from .intmatrix import IntegerMatrix, det, hermite_rows, kernel_basis, rref_mod_p
 
 
 class GaussInt:
@@ -211,16 +206,20 @@ def coords_to_matrix(v):
 
 
 def _coord_mul(x, y):
-    """The product of two matrices of M_2(Z[i]) on their integer coordinates."""
-    out = []
-    for i in (0, 4):  # rows (a, b) and (c, d) of x
-        for j in (0, 2):  # columns (a, c) and (b, d) of y
-            re = im = 0
-            for s, t in ((i, j), (i + 2, j + 4)):
-                re += x[s] * y[t] - x[s + 1] * y[t + 1]
-                im += x[s] * y[t + 1] + x[s + 1] * y[t]
-            out += (re, im)
-    return tuple(out)
+    """The product of two matrices of M_2(Z[i]) on their integer coordinates:
+    entry (i, j) is x_i1 y_1j + x_i2 y_2j with Gaussian products."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    return (
+        ar * er - ai * ei + br * gr - bi * gi,
+        ar * ei + ai * er + br * gi + bi * gr,
+        ar * fr - ai * fi + br * hr - bi * hi,
+        ar * fi + ai * fr + br * hi + bi * hr,
+        cr * er - ci * ei + dr * gr - di * gi,
+        cr * ei + ci * er + dr * gi + di * gr,
+        cr * fr - ci * fi + dr * hr - di * hi,
+        cr * fi + ci * fr + dr * hi + di * hr,
+    )
 
 
 def _congruent(x, p):
@@ -257,7 +256,9 @@ class OrderPresentation:
             c, rem = divmod(work[col], row[col])
             if rem:
                 return False
-            work = [w - c * x for w, x in zip(work, row)]
+            if c:
+                for j in range(col, len(work)):
+                    work[j] -= c * row[j]
         return not any(work)
 
     def contains(self, m):
@@ -282,8 +283,7 @@ def _congruence_lattice(p):
     gens.append((0, 0, 0, 0, 0, p, 0, 0))
     gens.append((0, 0, 0, 0, 0, 0, p, 0))
     gens.append((0, 0, 0, 0, 0, 0, 0, p))
-    h, _ = hermite_normal_form(IntegerMatrix(gens))
-    rows = tuple(tuple(r) for r in h.rows if any(r))
+    rows = tuple(hermite_rows(gens))
     _verify(len(rows) == 8, "congruence lattice is not of full rank")
     index = det(IntegerMatrix(rows))
     return rows, abs(index)
@@ -326,11 +326,7 @@ def endomorphism_order(p):
         (1, 0, 0, 0, 0, 0, 1, 0),
         (0, p, 0, 0, 0, 0, 0, p),
     ]
-    h_exp, _ = hermite_normal_form(IntegerMatrix(expected))
-    h_got, _ = hermite_normal_form(IntegerMatrix([list(r) for r in center_rows]))
-    exp_rows = [tuple(r) for r in h_exp.rows if any(r)]
-    got_rows = [tuple(r) for r in h_got.rows if any(r)]
-    _verify(exp_rows == got_rows, "center is not Z[ip]")
+    _verify(hermite_rows(expected) == hermite_rows(center_rows), "center is not Z[ip]")
     return order, center_rows
 
 
@@ -357,8 +353,7 @@ def _center_lattice(order):
                 for j in range(8):
                     coords[j] += c * order.basis[t][j]
         out.append(tuple(coords))
-    h, _ = hermite_normal_form(IntegerMatrix([list(r) for r in out]))
-    return tuple(tuple(r) for r in h.rows if any(r))
+    return tuple(hermite_rows(out))
 
 
 def center_index_in_gaussian_scalars(center_rows, p):
@@ -384,7 +379,7 @@ class LatticeModP:
     generators: tuple  # matrices as tuples of rows over F_p
 
     def act(self, g, v):
-        return tuple(sum(a * b for a, b in zip(row, v)) % self.p for row in g)
+        return tuple(sum(map(mul, row, v)) % self.p for row in g)
 
 
 def enumerate_stable_lattices(action):
@@ -406,9 +401,12 @@ def enumerate_stable_lattices(action):
         ech, _ = rref_mod_p(rows, p)
         return tuple(tuple(r) for r in ech)
 
+    full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
     def cyclic(v):
         # rows monic at their pivots, each reduced against the earlier ones;
-        # every generator image of a new row is reduced the same way
+        # every generator image of a new row is reduced the same way; n
+        # independent rows span everything
         rows, todo = [], [v]
         while todo:
             w = todo.pop()
@@ -421,6 +419,8 @@ def enumerate_stable_lattices(action):
                 inv = pow(w[col], -1, p)
                 w = [x * inv % p for x in w]
                 rows.append((col, w))
+                if len(rows) == n:
+                    return full
                 todo.extend(action.act(g, w) for g in action.generators)
         return canon([r for _, r in rows])
 
@@ -530,8 +530,7 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
         )
     for vec in nullspace_mod_p(diff_rows, p, n1 + n2):
         gens.append([c % p for c in vec])
-    h, _ = hermite_normal_form(IntegerMatrix(gens))
-    rows = tuple(tuple(r) for r in h.rows if any(r))
+    rows = tuple(hermite_rows(gens))
     _verify(len(rows) == n1 + n2, "pullback is not of full rank")
     index = abs(det(IntegerMatrix([list(r) for r in rows])))
     _verify(index == p ** m, "pullback index %d != p^%d" % (index, m))
@@ -586,9 +585,8 @@ def glued_lattice(p):
         cols.append(
             (a.re, a.im, c.re // p, c.im // p, b.re, b.im, d.re, d.im)
         )
-    h1, _ = hermite_normal_form(IntegerMatrix(cols))
-    got = [tuple(r) for r in h1.rows if any(r)]
-    h2, _ = hermite_normal_form(IntegerMatrix([list(r) for r in report.basis]))
-    exp_rows = [tuple(r) for r in h2.rows if any(r)]
-    _verify(got == exp_rows, "fiber product does not match the order columns")
+    _verify(
+        hermite_rows(cols) == hermite_rows(report.basis),
+        "fiber product does not match the order columns",
+    )
     return report

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from operator import mul
 
 from . import zfactor
 from .checks import verify
@@ -274,19 +275,26 @@ def trace_polynomial(poly, q):
     return out
 
 
+def _trace_columns(d, q):
+    """The columns of the integer rows x^(d - j) (x^2 + q)^j, j = 0..d, each
+    of length 2d + 1: column k pairs with the coefficient of x^k."""
+    rows = []
+    power = [1]  # (x^2 + q)^j, constant term first
+    for j in range(d + 1):
+        rows.append([0] * (d - j) + power + [0] * (d - j))
+        power = [q * a + b for a, b in zip(power + [0, 0], [0, 0] + power)]
+    return list(zip(*rows))
+
+
+def _from_trace(trace_coeffs, columns):
+    """x^d Q(x + q/x) for Q's coefficients b_0..b_d: sum of b_j times the
+    row x^(d - j) (x^2 + q)^j, read column by column."""
+    return IntPolynomial([sum(map(mul, trace_coeffs, col)) for col in columns])
+
+
 def weil_polynomial_from_trace(trace_poly, q):
     """x^d Q(x + q/x) expanded: sum of b_j x^(d - j) (x^2 + q)^j."""
-    d = trace_poly.degree
-    x2q = IntPolynomial((q, 0, 1))
-    power = IntPolynomial((1,))  # (x^2 + q)^j
-    out = IntPolynomial()
-    for j in range(d + 1):
-        b = trace_poly[j]
-        if b:
-            out = out + b * power.shift(d - j)
-        if j < d:
-            power = power * x2q
-    return out
+    return _from_trace(trace_poly.coeffs, _trace_columns(trace_poly.degree, q))
 
 
 # -- validation ------------------------------------------------------------
@@ -561,12 +569,13 @@ def enumerate_weil(ctx, max_degree):
         for eps in (1, -1):
             found.append(validate_weil(IntPolynomial((-eps * m, 1)), ctx))
     for d in range(1, max_degree // 2 + 1):
+        columns = _trace_columns(d, q)
         for qb in _trace_polys_degree(d, q):
             if not zfactor.is_irreducible(qb):
                 continue
             # the trace-polynomial construction already certifies the root
             # bound and functional equation
-            poly = weil_polynomial_from_trace(qb, q)
+            poly = _from_trace(qb.coeffs, columns)
             found.append(WeilClass(ctx, poly, is_real=False, half_degree=d))
     found.sort(key=lambda c: c.sort_key())
     return found

@@ -90,6 +90,25 @@ def test_snf_examples():
     assert _check_snf(IntegerMatrix([[0, 0], [0, 0]])) == (0, 0)
 
 
+def test_snf_rank_deficient_tall():
+    # rank 5 with a zero and a repeated row: swapping every remainder into
+    # the pivot at once grew the entries to thousands of bits
+    rows = [
+        [-20, 16, 4, 18, 5, -3, -11],
+        [-8, -9, -19, 21, 13, -17, -7],
+        [0, 0, 0, 0, 0, 0, 0],
+        [22, -1, 7, -17, -1, 17, 3],
+        [23, -50, -23, 22, 9, -28, -12],
+        [19, -2, 17, 4, -19, 34, 4],
+        [7, 5, 0, 4, 0, 18, 2],
+        [-28, 37, 11, 15, 9, 7, -13],
+        [23, -50, -23, 22, 9, -28, -12],
+    ]
+    diag = _check_snf(IntegerMatrix(rows))
+    assert sum(1 for x in diag if x) == 5
+    assert _check_snf(IntegerMatrix([[6 * c for c in r] for r in rows]))[0] == 6 * diag[0]
+
+
 def test_snf_random():
     rng = random.Random(5)
     for _ in range(60):
