@@ -223,7 +223,7 @@ def cmd_example_sec9(args):
     rec = honda_tate_record(cls)
     order, center = endomorphism_order(p)
     count, proper = lattice_class_count(p)
-    glued = glued_lattice(p)
+    glued = glued_lattice(p, order)
     from fractions import Fraction
 
     from .central_orders import build_order as _build
@@ -484,7 +484,8 @@ def run(argv=None):
             )
         )
         return 1
-    if use_cache:
+    if use_cache and cached_text is None:
+        # a verified hit already holds these bytes
         os.makedirs(cache_dir, exist_ok=True)
         with open(key, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -95,8 +95,9 @@ def gf_pow_mod(a, n, mod, p):
     while n:
         if n & 1:
             result = gf_mod(gf_mul(result, base, p), mod, p)
-        base = gf_mod(gf_mul(base, base, p), mod, p)
         n >>= 1
+        if n:
+            base = gf_mod(gf_mul(base, base, p), mod, p)
     return result
 
 
@@ -186,6 +187,10 @@ def squarefree_decomposition(a, p):
         if len(f) - 1 <= 0:
             return
         g = gf_gcd(f, gf_deriv(f, p), p)
+        if len(g) == 1:
+            # gcd(f, f') = 1: f is squarefree, the common case
+            out.append((f, mult))
+            return
         w = gf_divmod(f, g, p)[0]  # product of factors with multiplicity not divisible by p
         i = 1
         while len(w) - 1 > 0:
@@ -271,6 +276,8 @@ def factor(a, p):
         raise ValueError("zero polynomial")
     lc = a[-1] % p
     a = gf_monic(a, p)
+    if len(a) == 2:
+        return lc, [(tuple(a), 1)]
     found = []
     for sq, mult in squarefree_decomposition(a, p):
         for block, d in distinct_degree_split(sq, p):

@@ -16,7 +16,7 @@ from math import lcm
 from .checks import verify
 from .intpoly import IntPolynomial
 from .padic import decompose_places
-from .weil import GlobalContext, WeilClass, slope_type, validate_weil
+from .weil import GlobalContext, WeilClass, classify_slopes, slope_type, validate_weil
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def honda_tate_record(cls, overrides=None):
     if not (ctx.r % 2 == 1 and cls.is_real):
         verify(ctx.r % s == 0, "s must divide r away from the odd real class")
         reduced = ctx.r // s
-    kind, _vals = slope_type(cls)
+    # the places are verified: a place carries e*f roots of valuation v
+    kind = classify_slopes([pl.root_valuation for pl in places], ctx.r)
     return HondaTateRecord(
         weil_class=cls,
         places=places,

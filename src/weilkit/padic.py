@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import gfpoly as gp
+from .checks import verify
 from .hensel import lift_factorization
 from .intpoly import discriminant, is_squarefree
 
@@ -254,7 +255,7 @@ class WittRingModel:
             dfy = self.poly_eval(dm, y)
             y = self.sub(y, self.mul(fy, self.inv(dfy)))
             prec *= 2
-        assert self.poly_eval(m, y) == self.zero(), "Frobenius lift failed"
+        verify(self.poly_eval(m, y) == self.zero(), "Frobenius lift failed")
         return y
 
     def _sigma_matrices(self):
@@ -353,8 +354,9 @@ class PlaceAboveP:
 
 def make_place(e, f, root_valuation, r):
     val = Fraction(root_valuation)
-    inv = (val * e * f / r) % 1
-    return PlaceAboveP(e, f, val, inv)
+    # the invariant e f v / r mod 1, from integers
+    den = val.denominator * r
+    return PlaceAboveP(e, f, val, Fraction(val.numerator * e * f % den, den))
 
 
 def default_precision(poly, p, r):
@@ -454,7 +456,7 @@ def _scale_down(coeffs, p, a, cap):
     out = []
     for j, coef in enumerate(coeffs):
         num = (coef % mod) * p ** (a * j)
-        assert num % p ** c == 0, "support line violated"
+        verify(num % p ** c == 0, "support line violated")
         out.append((num // p ** c) % mod_out)
     return out, c, cap - c
 
@@ -481,7 +483,7 @@ def _analyze(coeffs, p, cap, offset, depth, max_val, out):
     if not problems:
         for a, b, s, left, right, factors in analysis:
             for irr, m in factors:
-                assert m == 1
+                verify(m == 1, "repeated residual factor in a separated segment")
                 out.append((b, len(irr) - 1, offset + s))
         return
     if depth >= 1:
@@ -498,7 +500,7 @@ def _analyze(coeffs, p, cap, offset, depth, max_val, out):
     for aa, bb, ss, l, _r, fs in analysis:
         if (aa, bb, l) == (a, b, left):
             seg_factors = fs
-    assert seg_factors is not None, "minimal segment missing from analysis"
+    verify(seg_factors is not None, "minimal segment missing from analysis")
     if b != 1:
         raise IrregularPlacesError(
             "repeated residual factor on a non-integral slope",
@@ -590,6 +592,16 @@ def decompose_places(poly, p, r, overrides=None):
         triples = overrides[key]
         places = [make_place(e, f, val, r) for e, f, val in triples]
         _check_place_sums(places, poly, p, "override data")
+        # the slope type is read off the places, so their valuations must be
+        # the Newton polygon's, not only sum to v_p(P(0))
+        vals = sorted(pl.root_valuation for pl in places for _ in range(pl.degree))
+        if vals != newton_polygon(poly, p).root_valuations():
+            raise IrregularPlacesError(
+                "override data failed invariant checks: root valuations differ"
+                " from the Newton polygon",
+                poly=poly,
+                p=p,
+            )
         return sorted(places, key=lambda pl: (pl.root_valuation, pl.f, pl.e))
 
     if poly.degree == 1:
@@ -644,7 +656,7 @@ def _check_place_sums(places, poly, p, source, partial=()):
     the degree-weighted root valuations to v_p(P(0)).  The test is explicit
     rather than an assert so that it also runs under python -O."""
     total_deg = sum(pl.degree for pl in places)
-    vsum = sum(Fraction(pl.degree) * pl.root_valuation for pl in places)
+    vsum = sum(pl.degree * pl.root_valuation for pl in places)
     expected = v_p(abs(poly.coeffs[0]), p)
     if total_deg != poly.degree:
         problem = "degrees sum to %d, expected %d" % (total_deg, poly.degree)

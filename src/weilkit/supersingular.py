@@ -542,12 +542,19 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
     )
 
 
-def glued_lattice(p):
+def glued_lattice(p, order=None):
     """The fiber product of the two standard lattices along the Frobenius
     congruence a = conj(d) mod p; matches the column splitting of the
-    Dieudonne matrix order."""
+    Dieudonne matrix order.
+
+    `order` is that verified order, `dieudonne_matrix_order(p)`, when the
+    caller holds it already; it is built here otherwise."""
     if p % 4 != 3:
         raise ValueError("p = 3 mod 4 required")
+    if order is None:
+        order = dieudonne_matrix_order(p)
+    elif order.p != p:
+        raise ValueError("order is for p = %d, not %d" % (order.p, p))
     # lattice 1 = {(a, c): p | c} with coordinates (a.re, a.im, c.re/p, c.im/p)
     # presented abstractly by its own basis: use coordinates w.r.t. the
     # ambient (a.re, a.im, c.re, c.im) instead
@@ -575,7 +582,6 @@ def glued_lattice(p):
     report = fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim=2)
     # cross-check: the pullback (in lattice coordinates) equals the column
     # splitting of the congruence order
-    order = dieudonne_matrix_order(p)
     cols = []
     for row in order.basis:
         (a, b), (c, d) = coords_to_matrix(row)

@@ -584,20 +584,22 @@ def enumerate_weil(ctx, max_degree):
 # -- slope types -----------------------------------------------------------
 
 
+def classify_slopes(vals, r):
+    """Slope type of the root valuations `vals` (v(p) = 1) of a class over
+    F_{p^r}: 'ordinary' iff every valuation is 0 or r, 'supersingular' iff
+    every one is r/2, else 'mixed'.  Only which valuations occur matters."""
+    if all(v == 0 or v == r for v in vals):
+        return "ordinary"
+    if all(2 * v == r for v in vals):
+        return "supersingular"
+    return "mixed"
+
+
 def slope_type(cls):
-    """(flag, valuation multiset): 'ordinary' iff slopes are 0 and r in
-    equal number, 'supersingular' iff all slopes equal r/2, else 'mixed'."""
-    ctx = cls.context
-    polygon = newton_polygon(cls.polynomial, ctx.p)
-    vals = polygon.root_valuations()
-    r = Fraction(ctx.r)
-    if all(v in (0, r) for v in vals):
-        flag = "ordinary"
-    elif all(v == r / 2 for v in vals):
-        flag = "supersingular"
-    else:
-        flag = "mixed"
-    return flag, tuple(vals)
+    """(flag, valuation multiset) from the Newton polygon; the flag is
+    `classify_slopes` of the multiset."""
+    vals = newton_polygon(cls.polynomial, cls.context.p).root_valuations()
+    return classify_slopes(vals, cls.context.r), tuple(vals)
 
 
 def middle_coefficient_is_unit(cls):

@@ -280,6 +280,6 @@ def test_criterion_10_beyond_p7():
         order, center = endomorphism_order(p)
         assert order.index == p ** 4
         assert center_index_in_gaussian_scalars(center, p) == p
-        rep = glued_lattice(p)
+        rep = glued_lattice(p, order)
         assert rep.index == p ** 2 and rep.witt_colength == 1
     _report(10, "two lattice classes, index p^4, center index p, fiber product at p = 11, 19")

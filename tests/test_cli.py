@@ -319,6 +319,21 @@ def test_cache_byte_identical(tmp_path, capsys, monkeypatch):
     assert "error" in doc
 
 
+def test_verified_cache_hit_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WEILKIT_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ("enumerate", "--q", "3", "--max-degree", "2")
+    code, _, raw = invoke(capsys, *argv)
+    assert code == 0
+    (target,) = (tmp_path / "cache").iterdir()
+    os.utime(target, ns=(10**9, 10**9))
+    before = target.stat()
+    code, _, raw2 = invoke(capsys, "--verify-cache", *argv)
+    assert code == 0 and raw2 == raw
+    after = target.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert target.read_text() == raw
+
+
 def test_no_cache_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WEILKIT_CACHE_DIR", str(tmp_path / "cache"))
     code, _, _ = invoke(capsys, "--no-cache", "enumerate", "--q", "3", "--max-degree", "2")

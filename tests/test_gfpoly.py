@@ -66,6 +66,9 @@ def _check_factorization(poly, p):
         else:
             assert gp.is_irreducible(list(f), p)
     assert prod == gp.gf_normal(list(poly), p)
+    # distinct factors, in the documented (degree, coefficients) order
+    assert factors == sorted(factors, key=lambda t: (len(t[0]), t[0]))
+    assert len({f for f, _ in factors}) == len(factors)
     return factors
 
 
@@ -106,6 +109,16 @@ def test_factor_random():
             deg = rng.randint(1, 8)
             poly = [rng.randrange(p) for _ in range(deg)] + [1]
             _check_factorization(poly, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_every_polynomial_up_to_degree_4(p):
+    # covers the linear and gcd(f, f') = 1 shortcuts next to the full path
+    for d in range(5):
+        for code in range(p ** d):
+            for lc in range(1, p):
+                poly = [code // p ** i % p for i in range(d)] + [lc]
+                _check_factorization(poly, p)
 
 
 def test_factor_determinism():

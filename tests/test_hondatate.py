@@ -12,7 +12,8 @@ from weilkit.hondatate import (
     reciprocity_sum,
 )
 from weilkit.intpoly import IntPolynomial
-from weilkit.weil import GlobalContext, enumerate_weil, validate_weil
+from weilkit import padicorders
+from weilkit.weil import GlobalContext, enumerate_weil, slope_type, validate_weil
 
 
 def P(*cs):
@@ -157,3 +158,26 @@ def test_property_suite_small_grid():
             )
             mirrored = sorted(ctx.r - v for v in vals)
             assert vals == mirrored
+
+
+def test_slope_type_from_places_matches_newton_polygon(monkeypatch):
+    """The record reads its slope type off the verified places: they carry
+    exactly the Newton polygon's root valuations, round-2 classes included,
+    so the flag is `slope_type`'s."""
+    fallbacks = []
+    places_from_order = padicorders.places_from_order
+
+    def counted(poly, p, r):
+        fallbacks.append(poly)
+        return places_from_order(poly, p, r)
+
+    monkeypatch.setattr(padicorders, "places_from_order", counted)
+    for q, max_degree in ((2, 4), (3, 4), (4, 4), (9, 4), (32, 2)):
+        ctx = GlobalContext.from_q(q)
+        for cls in enumerate_weil(ctx, max_degree):
+            rec = honda_tate_record(cls)
+            flag, polygon_vals = slope_type(cls)
+            assert rec.slope_kind == flag, cls.polynomial
+            vals = sorted(v for pl in rec.places for v in [pl.root_valuation] * pl.degree)
+            assert tuple(vals) == polygon_vals, cls.polynomial
+    assert fallbacks, "no class took the round-2 route"

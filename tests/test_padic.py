@@ -216,6 +216,10 @@ def test_places_overrides():
     bad = {((9, 3, 1), 3): [(1, 1, F(1))]}
     with pytest.raises(IrregularPlacesError):
         places_tuple(P(*key), 3, 2, overrides=bad)
+    # degrees and valuation sum agree, but the polygon has both roots at 1
+    split = {((9, 3, 1), 3): [(1, 1, F(0)), (1, 1, F(2))]}
+    with pytest.raises(IrregularPlacesError, match="Newton polygon"):
+        places_tuple(P(*key), 3, 2, overrides=split)
 
 
 def test_make_place_invariant():

@@ -183,8 +183,10 @@ def test_fiber_product_spec_cases():
     rep = glued_lattice(3)
     assert rep.witt_colength == 1
     assert rep.index == 9
-    rep7 = glued_lattice(7)
+    rep7 = glued_lattice(7, dieudonne_matrix_order(7))
     assert rep7.witt_colength == 1 and rep7.index == 49
+    with pytest.raises(ValueError):
+        glued_lattice(7, dieudonne_matrix_order(3))
 
 
 def test_fiber_product_identity_congruence():
