@@ -129,7 +129,7 @@ class CentralOrder:
         """Evaluate a symmetric F/V polynomial with integer exponents via the
         table; returns order coordinates."""
         d = self.rank
-        f, v, one = self._generators
+        f, v, one = self.generators
         out = [0] * d
         for (i, j), c in h.support.items():
             if i % 2 or j % 2:
@@ -143,8 +143,9 @@ class CentralOrder:
         return out
 
     @cached_property
-    def _generators(self):
-        """Order coordinates of F, V and 1, verified to be integers."""
+    def generators(self):
+        """Order coordinates of F, V and 1, verified to be integers.  Every
+        caller gets the same three lists, so none may change them."""
         poly = self.weil_set.polynomial
         cs = poly.coeffs
         # c0 V = -q (a_1 + a_2 x + ... + x^(n-1)), as in build_order
@@ -153,12 +154,6 @@ class CentralOrder:
         one = self._exact_coords([1] + [0] * (poly.degree - 1), 1)
         verify(None not in (f, v, one), "F, V or 1 is not in the order")
         return f, v, one
-
-    def _unit_coords(self):
-        return list(self._generators[2])
-
-    def _coords_of_label(self, name):
-        return list(self._generators[0 if name == "F" else 1])
 
     def as_dict(self):
         return {
@@ -195,7 +190,7 @@ def build_order(w):
 def _verify_relations(order):
     w = order.weil_set
     q = w.context.q
-    f, v, one = order._generators
+    f, v, one = order.generators
     verify(order.multiply(f, v) == [q * c for c in one], "F V = q fails")
     h = w.h
     if all(i % 2 == 0 and j % 2 == 0 for (i, j) in h.support):
@@ -322,8 +317,7 @@ def supersingular_point_test(order):
     class of w is ordinary; otherwise the quotient by (F, V, p) is F_p."""
     p = order.weil_set.context.p
     d = order.rank
-    f = order._coords_of_label("F")
-    v = order._coords_of_label("V")
+    f, v, _one = order.generators
     rows = []
     for i in range(d):
         e = [1 if j == i else 0 for j in range(d)]

@@ -10,7 +10,9 @@ override), 1 malformed requests and other errors.
 
 Polynomials on the wire are comma-separated integers, constant term first.
 The cache directory is taken from WEILKIT_CACHE_DIR; --no-cache disables
-it and --verify-cache recomputes and compares byte for byte.
+it and --verify-cache recomputes and compares byte for byte.  A cache file
+is written under a temporary name and moved into place, so a reader sees
+the whole file or none.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 
 from . import __version__
 from .central_orders import build_order, connected_components
@@ -474,23 +477,31 @@ def run(argv=None):
         return 1
     text = _render(document)
     if cached_text is not None and args.verify_cache and text != cached_text:
-        sys.stdout.write(
-            _render(
-                {
-                    "schema": SCHEMA,
-                    "command": args.command,
-                    "error": "cache verification failed",
-                }
-            )
-        )
+        document = {"schema": SCHEMA, "command": args.command, "error": "cache verification failed"}
+        _emit(_render(document), args.output)
         return 1
     if use_cache and cached_text is None:
         # a verified hit already holds these bytes
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(key, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_cache(cache_dir, key, text)
     _emit(text, args.output)
     return code
+
+
+def _write_cache(cache_dir, key, text):
+    # a temporary name no other live process or thread writes at once
+    tmp = "%s.%d.%d.tmp" % (key, os.getpid(), threading.get_ident())
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except FileNotFoundError:
+        os.makedirs(cache_dir, exist_ok=True)
+        fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, key)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text, output):

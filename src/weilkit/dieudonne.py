@@ -15,13 +15,13 @@ from the elementary divisors of the commutator matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .central_orders import build_order
-from .intmatrix import zpk_canonical, zpk_smith
+from .checks import verify
+from .intmatrix import rref_mod_p, zpk_canonical, zpk_smith, zpk_solve
 from .padic import WittRingModel
 from .tablering import TableRing, lift_idempotent, split_idempotents
-from .weil import WeilSet
+from .weil import slope_type
 
 
 class DieudonneAlgebra:
@@ -36,7 +36,7 @@ class DieudonneAlgebra:
         self.r = ctx.r
         self.k = precision
         two_n = weil_set.degree * ctx.r
-        assert two_n % 2 == 0, "deg(w) * r must be even"
+        verify(two_n % 2 == 0, "deg(w) * r must be even")
         self.n_bound = two_n // 2
         self.witt = WittRingModel(ctx.p, ctx.r, precision)
         self.slots = 2 * self.n_bound
@@ -83,9 +83,6 @@ class DieudonneAlgebra:
     def sub(self, x, y):
         return tuple(self.witt.sub(a, b) for a, b in zip(x, y))
 
-    def scal_int(self, c, x):
-        return tuple(self.witt.scal(c, a) for a in x)
-
     def _relation_vector(self):
         """Integer coefficients t_j, j in [-N, N], of the defining relation
         sum t_j F_j = 0, from the symmetric polynomial of w evaluated at
@@ -95,65 +92,18 @@ class DieudonneAlgebra:
         for (i, j), c in self.weil_set.h.support.items():
             num_a = self.r * i
             num_b = self.r * j
-            assert num_a % 2 == 0 and num_b % 2 == 0, "parity violation"
+            verify(num_a % 2 == 0 and num_b % 2 == 0, "parity violation")
             a, b = num_a // 2, num_b // 2
             idx = a - b
             t[idx] = t.get(idx, 0) + c * self.p ** min(a, b)
-        assert t.get(n) == 1, "relation not monic at the top"
-        assert abs(t.get(-n, 0)) == 1, "relation bottom coefficient not a unit"
+        verify(t.get(n) == 1, "relation not monic at the top")
+        verify(abs(t.get(-n, 0)) == 1, "relation bottom coefficient not a unit")
         return t
 
     def _exp_rule(self, i, j):
         e2 = abs(i) + abs(j) - abs(i + j)
-        assert e2 % 2 == 0 and e2 >= 0
+        verify(e2 % 2 == 0 and e2 >= 0, "F_i F_j exponent not a natural number")
         return e2 // 2
-
-    def _mul_f_left(self, vec):
-        """F * (sum c_j F_j) as a slot vector, using rewrites for the top."""
-        n = self.n_bound
-        out = [self.witt.zero() for _ in range(self.slots)]
-        for s, c in enumerate(vec):
-            if not any(c):
-                continue
-            j = self.index_of_slot(s)
-            coeff = self.witt.sigma(c, 1)
-            e = self._exp_rule(1, j)
-            if e:
-                coeff = self.witt.scal(self.p ** e, coeff)
-            target = j + 1
-            if target < n:
-                out[self.slot_of_index(target)] = self.witt.add(
-                    out[self.slot_of_index(target)], coeff
-                )
-            else:
-                rew = self.rewrites[target]
-                for s2 in range(self.slots):
-                    if any(rew[s2]):
-                        out[s2] = self.witt.add(out[s2], self.witt.mul(coeff, rew[s2]))
-        return tuple(out)
-
-    def _mul_v_left(self, vec):
-        n = self.n_bound
-        out = [self.witt.zero() for _ in range(self.slots)]
-        for s, c in enumerate(vec):
-            if not any(c):
-                continue
-            j = self.index_of_slot(s)
-            coeff = self.witt.sigma(c, self.r - 1)  # sigma^(-1)
-            e = self._exp_rule(-1, j)
-            if e:
-                coeff = self.witt.scal(self.p ** e, coeff)
-            target = j - 1
-            if target >= -n:
-                out[self.slot_of_index(target)] = self.witt.add(
-                    out[self.slot_of_index(target)], coeff
-                )
-            else:
-                rew = self.rewrites[target]
-                for s2 in range(self.slots):
-                    if any(rew[s2]):
-                        out[s2] = self.witt.add(out[s2], self.witt.mul(coeff, rew[s2]))
-        return tuple(out)
 
     def _build_rewrites(self):
         """Slot vectors expressing F_m for m outside [-N, N-1]."""
@@ -166,10 +116,11 @@ class DieudonneAlgebra:
                 continue
             top[self.slot_of_index(j)] = self.witt.from_int(-t)
         rewrites[n] = tuple(top)
-        self.rewrites = rewrites  # used by _mul_f_left during the recursion
+        self.rewrites = rewrites  # used by mul during the recursion
         for m in range(n + 1, 2 * n - 1):
-            rewrites[m] = self._mul_f_left(rewrites[m - 1])
-        # F_(-N-1) from V * relation: 0 = sum t_j p^(e(-1,j)) F_(j-1)
+            rewrites[m] = self.mul(self.basis_element(1), rewrites[m - 1])
+        # F_(-N-1) from V * relation: 0 = sum t_j p^(e(-1,j)) F_(j-1), where
+        # j - 1 < N
         bottom = [self.witt.zero() for _ in range(self.slots)]
         t_bot = self.relation[-n]
         for j, t in self.relation.items():
@@ -177,20 +128,10 @@ class DieudonneAlgebra:
                 continue
             e = self._exp_rule(-1, j)
             val = -t * self.p ** e * t_bot  # t_bot = +-1 so this divides by it
-            if j - 1 == n:
-                # fold through the top rewrite
-                rew = rewrites[n]
-                for s2 in range(self.slots):
-                    if any(rew[s2]):
-                        bottom[s2] = self.witt.add(
-                            bottom[s2], self.witt.scal(val, rew[s2])
-                        )
-            else:
-                slot = self.slot_of_index(j - 1)
-                bottom[slot] = self.witt.add(bottom[slot], self.witt.from_int(val))
+            bottom[self.slot_of_index(j - 1)] = self.witt.from_int(val)
         rewrites[-n - 1] = tuple(bottom)
         for m in range(-n - 2, -2 * n - 1, -1):
-            rewrites[m] = self._mul_v_left(rewrites[m + 1])
+            rewrites[m] = self.mul(self.basis_element(-1), rewrites[m + 1])
         return rewrites
 
     def mul(self, x, y):
@@ -248,16 +189,9 @@ class DieudonneAlgebra:
         order = build_order(self.weil_set)
         images = []
         for label in order.basis_labels:
-            if label == "1":
-                images.append(self.one())
-                continue
-            name = label[0]
-            power = 1 if "^" not in label else int(label.split("^")[1])
-            idx = self.r * power * (1 if name == "F" else -1)
-            if -self.n_bound <= idx < self.n_bound:
-                images.append(self.basis_element(idx))
-            else:
-                images.append(tuple(self.rewrites[idx]))
+            name, _, power = label.partition("^")
+            sign = {"1": 0, "F": 1, "V": -1}[name]
+            images.append(self.element_for_index(sign * self.r * int(power or 1)))
         return order, images
 
     def export(self):
@@ -286,9 +220,9 @@ def build_dieudonne(weil_set, precision):
     alg = DieudonneAlgebra(weil_set, precision)
     # F V = p
     fv = alg.mul(alg.frobenius_gen(), alg.verschiebung_gen())
-    assert fv == alg.from_int(alg.p), "F V = p fails"
+    verify(fv == alg.from_int(alg.p), "F V = p fails")
     vf = alg.mul(alg.verschiebung_gen(), alg.frobenius_gen())
-    assert vf == alg.from_int(alg.p), "V F = p fails"
+    verify(vf == alg.from_int(alg.p), "V F = p fails")
     return alg
 
 
@@ -306,7 +240,7 @@ def associativity_report(alg, with_witt_coefficient=True):
             for c in indices:
                 left = alg.mul(ab, basis[c])
                 right = alg.mul(basis[a], alg.mul(basis[b], basis[c]))
-                assert left == right, "associativity fails at (%d,%d,%d)" % (a, b, c)
+                verify(left == right, "associativity fails at (%d,%d,%d)" % (a, b, c))
                 count += 1
     if with_witt_coefficient and alg.r > 1:
         for a in indices:
@@ -314,115 +248,9 @@ def associativity_report(alg, with_witt_coefficient=True):
                 tb = alg.mul(t_elem, basis[b])
                 left = alg.mul(alg.mul(basis[a], t_elem), basis[b])
                 right = alg.mul(basis[a], tb)
-                assert left == right, "twisted associativity fails at (%d,%d)" % (a, b)
+                verify(left == right, "twisted associativity fails at (%d,%d)" % (a, b))
                 count += 1
     return count
-
-
-class _WittTensor:
-    """W tensor A: free A-module on the Witt power basis with the twisted
-    ring structure; elements are tuples of r ring elements."""
-
-    def __init__(self, witt, ring):
-        self.witt = witt
-        self.ring = ring
-        self.r = witt.r
-
-    def zero(self):
-        return tuple(tuple(0 for _ in range(self.ring.d)) for _ in range(self.r))
-
-    def one(self):
-        out = [tuple(0 for _ in range(self.ring.d)) for _ in range(self.r)]
-        out[0] = self.ring.one
-        return tuple(out)
-
-    def from_ring(self, a):
-        out = [tuple(0 for _ in range(self.ring.d)) for _ in range(self.r)]
-        out[0] = tuple(a)
-        return tuple(out)
-
-    def add(self, x, y):
-        return tuple(self.ring.add(a, b) for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        r = self.r
-        ring = self.ring
-        prod = [None] * (2 * r - 1)
-        for i in range(r):
-            if any(x[i]):
-                for j in range(r):
-                    if any(y[j]):
-                        term = ring.mul(x[i], y[j])
-                        prod[i + j] = (
-                            term
-                            if prod[i + j] is None
-                            else ring.add(prod[i + j], term)
-                        )
-        out = [prod[s] if prod[s] is not None else tuple([0] * ring.d) for s in range(r)]
-        for j in range(r, 2 * r - 1):
-            if prod[j] is not None and any(prod[j]):
-                red = self.witt._red[j]
-                for s in range(r):
-                    if red[s]:
-                        out[s] = ring.add(out[s], ring.scal(red[s], prod[j]))
-        return tuple(out)
-
-    def sigma(self, x, power=1):
-        mat = self.witt._sigma_mats[power % self.r]
-        ring = self.ring
-        out = []
-        for i in range(self.r):
-            acc = tuple([0] * ring.d)
-            for j in range(self.r):
-                if mat[i][j] and any(x[j]):
-                    acc = ring.add(acc, ring.scal(mat[i][j], x[j]))
-            out.append(acc)
-        return tuple(out)
-
-    def norm(self, x):
-        acc = x
-        for i in range(1, self.r):
-            acc = self.mul(acc, self.sigma(x, i))
-        return acc
-
-    def is_unit(self, x):
-        try:
-            self.inv(x)
-            return True
-        except ZeroDivisionError:
-            return False
-
-    def inv(self, x):
-        from .intmatrix import zpk_solve
-
-        p, k = self.ring.p, self.ring.k
-        dim = self.r * self.ring.d
-        cols = []
-        for i in range(self.r):
-            for t in range(self.ring.d):
-                e = [tuple([0] * self.ring.d) for _ in range(self.r)]
-                vec = [0] * self.ring.d
-                vec[t] = 1
-                e[i] = tuple(vec)
-                img = self.mul(x, tuple(e))
-                cols.append([c for part in img for c in part])
-        mat = [[cols[j][i] % p for j in range(dim)] for i in range(dim)]
-        target = [c % p for part in self.one() for c in part]
-        x0 = zpk_solve(mat, target, p, 1, dim)
-        if x0 is None:
-            raise ZeroDivisionError("not a unit")
-        inv = tuple(
-            tuple(x0[i * self.ring.d + t] for t in range(self.ring.d))
-            for i in range(self.r)
-        )
-        prec = 1
-        two = self.add(self.one(), self.one())
-        while prec < self.ring.k:
-            ux = self.mul(x, inv)
-            inv = self.mul(inv, self.add(two, tuple(self.ring.scal(-1, c) for c in ux)))
-            prec *= 2
-        assert self.mul(x, inv) == self.one()
-        return inv
 
 
 @dataclass(frozen=True)
@@ -439,17 +267,16 @@ def ordinary_matrix_check(alg, search_cap=20000):
     an isomorphism at the working precision, and pulls back the r diagonal
     matrix idempotents.  Best effort: returns 'inconclusive' rather than
     guessing when a step fails."""
-    from .weil import slope_type
-
     for cls in alg.weil_set.classes:
         if slope_type(cls)[0] != "ordinary":
             raise ValueError("ordinary classes required")
-    p, k, r = alg.p, alg.k, alg.r
+    p, k, r, witt = alg.p, alg.k, alg.r, alg.witt
     order = build_order(alg.weil_set)
     deg = order.rank
-    ring = TableRing(order.table, order._unit_coords(), p, k)
-    f_im = ring.reduce(order._coords_of_label("F"))
-    v_im = ring.reduce(order._coords_of_label("V"))
+    f_coords, v_coords, one_coords = order.generators
+    ring = TableRing(order.table, one_coords, p, k)
+    f_im = ring.reduce(f_coords)
+    v_im = ring.reduce(v_coords)
 
     # split off the part where F is a unit: the sum of the primitive
     # idempotents mod p at which F is not nilpotent, lifted to p^k
@@ -465,67 +292,63 @@ def ordinary_matrix_check(alg, search_cap=20000):
             "inconclusive", "degenerate unit/non-unit splitting"
         )
 
-    tensor = _WittTensor(alg.witt, ring)
-    target1 = ring.add(ring.mul(f_im, e_f), e_v)
-    target2 = ring.add(ring.mul(v_im, e_v), e_f)
-    mu1 = _solve_norm_equation(tensor, target1, search_cap)
-    mu2 = _solve_norm_equation(tensor, target2, search_cap)
+    tensor = _witt_tensor(witt, ring)
+    zero = (0,) * tensor.d
+
+    def at(i, a):
+        """t^i tensor a, for a in the central order."""
+        return (0,) * (i * deg) + tuple(a) + (0,) * ((r - 1 - i) * deg)
+
+    def witt_scalar(w):
+        """w tensor 1, for w in the Witt model."""
+        return tensor.reduce([c * a for c in w for a in ring.one])
+
+    w0 = witt_scalar(_trace_one_element(witt))
+    target1 = at(0, ring.add(ring.mul(f_im, e_f), e_v))
+    target2 = at(0, ring.add(ring.mul(v_im, e_v), e_f))
+    mu1 = _solve_norm_equation(witt, tensor, target1, w0, search_cap)
+    mu2 = _solve_norm_equation(witt, tensor, target2, w0, search_cap)
     if mu1 is None or mu2 is None:
         return OrdinaryMatrixReport("inconclusive", "norm equation seed not found")
-    ef_t = tensor.from_ring(e_f)
-    ev_t = tensor.from_ring(e_v)
+    ef_t, ev_t = at(0, e_f), at(0, e_v)
+    p_t = tensor.scal(p, tensor.one)
     mu = tensor.add(
         tensor.mul(mu1, ef_t),
-        tensor.mul(tensor.mul(tensor.from_ring(ring.scal(p, ring.one)), tensor.inv(mu2)), ev_t),
+        tensor.mul(tensor.mul(p_t, tensor.inv(mu2)), ev_t),
     )
-    if tensor.norm(mu) != tensor.from_ring(f_im):
+    if _norm(witt, tensor, mu) != at(0, f_im):
         return OrdinaryMatrixReport("inconclusive", "norm of mu is not F")
     # sigma(nu) = p/mu blockwise
     sigma_nu = tensor.add(
-        tensor.mul(tensor.mul(tensor.from_ring(ring.scal(p, ring.one)), tensor.inv(mu1)), ef_t),
+        tensor.mul(tensor.mul(p_t, tensor.inv(mu1)), ef_t),
         tensor.mul(mu2, ev_t),
     )
-    nu = tensor.sigma(sigma_nu, r - 1)
-    if tensor.mul(mu, tensor.sigma(nu)) != tensor.from_ring(ring.scal(p, ring.one)):
+    nu = _sigma(witt, sigma_nu, r - 1)
+    if tensor.mul(mu, _sigma(witt, nu)) != p_t:
         return OrdinaryMatrixReport("inconclusive", "mu sigma(nu) != p")
-    if tensor.norm(nu) != tensor.from_ring(v_im):
+    if _norm(witt, tensor, nu) != at(0, v_im):
         return OrdinaryMatrixReport("inconclusive", "norm of nu is not V")
 
-    # matrices over the ring for the F, V and Witt-scalar actions
-    def basis_elt(i):
-        out = [tuple([0] * deg) for _ in range(r)]
-        out[i] = ring.one
-        return tuple(out)
-
+    # matrices over the ring for the F, V and Witt-scalar actions: column i
+    # is the image of t^i tensor 1, its block j the ring entry at t^j
     def action_matrix(act):
-        cols = []
-        for i in range(r):
-            img = act(basis_elt(i))
-            cols.append(img)
-        return cols  # cols[i] = image as length-r tuple of ring elements
+        return [act(at(i, ring.one)) for i in range(r)]
 
-    mat_f = action_matrix(lambda x: tensor.mul(mu, tensor.sigma(x)))
-    mat_v = action_matrix(lambda x: tensor.mul(nu, tensor.sigma(x, r - 1)))
+    mat_f = action_matrix(lambda x: tensor.mul(mu, _sigma(witt, x)))
+    mat_v = action_matrix(lambda x: tensor.mul(nu, _sigma(witt, x, r - 1)))
 
     def mat_mul(a, b):
-        # (a o b)(e_i) = a(b(e_i))
+        # (a o b)(e_i) = a(b(e_i)) = sum_j b(e_i)_j a(e_j)
         cols = []
-        for i in range(r):
-            vec = b[i]
-            acc = [tuple([0] * deg) for _ in range(r)]
+        for col in b:
+            acc = zero
             for j in range(r):
-                if any(vec[j]):
-                    col = a[j]
-                    for t in range(r):
-                        acc[t] = ring.add(acc[t], ring.mul(vec[j], col[t]))
-            cols.append(tuple(acc))
+                acc = tensor.add(acc, tensor.mul(at(0, col[j * deg:(j + 1) * deg]), a[j]))
+            cols.append(acc)
         return cols
 
     def mat_scal_ring(c):
-        return [
-            tuple(ring.mul(c, ring.one) if i == j else tuple([0] * deg) for i in range(r))
-            for j in range(r)
-        ]
+        return [at(j, c) for j in range(r)]
 
     # relations
     fv = mat_mul(mat_f, mat_v)
@@ -539,10 +362,8 @@ def ordinary_matrix_check(alg, search_cap=20000):
 
     # assemble the linear map Phi on the whole algebra and invert it on the
     # diagonal matrix idempotents
-    witt_t = alg.witt.from_coords([0, 1] if r > 1 else [1])
-    mat_t = action_matrix(
-        lambda x: tensor.mul(_witt_scalar(tensor, witt_t), x)
-    )
+    t_t = witt_scalar(witt.from_coords([0, 1] if r > 1 else [1]))
+    mat_t = action_matrix(lambda x: tensor.mul(t_t, x))
 
     dim = alg.zp_rank
     columns = []
@@ -556,21 +377,15 @@ def ordinary_matrix_check(alg, search_cap=20000):
         for t in range(r):
             if t > 0:
                 twist = mat_mul(mat_t, twist)
-            columns.append(_vec_of_matrix(twist, r, deg))
+            columns.append(_vec_of_matrix(twist))
     phi_rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-
-    from .intmatrix import rref_mod_p, zpk_solve
 
     ech, piv = rref_mod_p([[c % p for c in row] for row in phi_rows], p)
     if len(ech) != dim:
         return OrdinaryMatrixReport("inconclusive", "module map not invertible")
     idem_elements = []
     for j in range(r):
-        target_mat = [
-            tuple(ring.one if (i == j and t == j) else tuple([0] * deg) for t in range(r))
-            for i in range(r)
-        ]
-        target = _vec_of_matrix([tuple(row) for row in target_mat], r, deg)
+        target = _vec_of_matrix([at(j, ring.one) if i == j else zero for i in range(r)])
         sol = zpk_solve(phi_rows, target, p, k, dim)
         if sol is None:
             return OrdinaryMatrixReport("inconclusive", "idempotent pullback failed")
@@ -590,69 +405,82 @@ def ordinary_matrix_check(alg, search_cap=20000):
     return OrdinaryMatrixReport("verified", "", tuple(idem_elements))
 
 
-def _vec_of_matrix(cols, r, deg):
-    out = []
-    for col in cols:
-        for part in col:
-            out.extend(part)
-    return out
+def _vec_of_matrix(cols):
+    return [c for col in cols for c in col]
 
 
-def _witt_scalar(tensor, witt_elt):
-    out = [tensor.ring.scal(c, tensor.ring.one) for c in witt_elt]
+def _witt_tensor(witt, ring):
+    """W tensor A as a ring of rank r d over Z/p^k, for A a `TableRing` of
+    rank d: coordinate i d + t holds t^i tensor b_t, so the table is the
+    Kronecker product of the Witt products of basis pairs with A's table."""
+    r, d = witt.r, ring.d
+    basis = [witt.from_coords([int(i == j) for j in range(r)]) for i in range(r)]
+    table = tuple(
+        tuple(
+            tuple(w * a for w in witt.mul(basis[i], basis[j]) for a in ring.table[t][u])
+            for j in range(r)
+            for u in range(d)
+        )
+        for i in range(r)
+        for t in range(d)
+    )
+    return TableRing(table, ring.one + (0,) * ((r - 1) * d), ring.p, ring.k)
+
+
+def _sigma(witt, x, power=1):
+    """sigma^power on W tensor A: the Witt sigma on each of the d blocks
+    x[t::d] of coordinates of t^i tensor b_t."""
+    d = len(x) // witt.r
+    out = list(x)
+    for t in range(d):
+        out[t::d] = witt.sigma(x[t::d], power)
     return tuple(out)
 
 
-def _solve_norm_equation(tensor, target, search_cap):
-    """Unit mu with norm(mu) = target (a unit of the base ring), by a
-    deterministic mod-p seed search plus trace-based Hensel lifting."""
-    ring = tensor.ring
-    p, k = ring.p, ring.k
-    r = tensor.r
-    deg = ring.d
-    # seed mod p
-    total = p ** (r * deg)
+def _norm(witt, tensor, x):
+    """x sigma(x) .. sigma^(r-1)(x) in W tensor A."""
+    acc = x
+    for i in range(1, witt.r):
+        acc = tensor.mul(acc, _sigma(witt, x, i))
+    return acc
+
+
+def _solve_norm_equation(witt, tensor, target, w0, search_cap):
+    """Unit mu of W tensor A with norm(mu) = target (a unit of the base
+    ring), by a deterministic mod-p seed search plus Hensel lifting along
+    w0, an element of trace 1."""
+    p, k, n = tensor.p, tensor.k, tensor.d
     seed = None
-    target_t = tensor.from_ring(target)
-    for code in range(min(total, search_cap)):
+    for code in range(min(p ** n, search_cap)):
         digits = []
         c = code
-        for _ in range(r * deg):
+        for _ in range(n):
             digits.append(c % p)
             c //= p
-        cand = tuple(
-            tuple(digits[i * deg + t] for t in range(deg)) for i in range(r)
-        )
-        nm = tensor.norm(cand)
-        if _mod_p_equal(nm, target_t, p):
-            if tensor.is_unit(cand):
-                seed = cand
-                break
+        cand = tuple(digits)
+        if any((a - b) % p for a, b in zip(_norm(witt, tensor, cand), target)):
+            continue
+        try:
+            tensor.inv(cand)
+        except ZeroDivisionError:
+            continue
+        seed = cand
+        break
     if seed is None:
-        return None
-    # trace-one element of W
-    w0 = _trace_one_element(tensor)
-    if w0 is None:
         return None
     mu = seed
     for _ in range(k.bit_length() + 3):
-        nm = tensor.norm(mu)
-        if nm == target_t:
+        nm = _norm(witt, tensor, mu)
+        if nm == target:
             return mu
-        delta = tensor.add(
-            tensor.mul(tensor.inv(nm), target_t),
-            tuple(ring.scal(-1, c) for c in tensor.one()),
-        )
-        h = tensor.mul(_witt_scalar(tensor, w0), delta)
-        mu = tensor.mul(mu, tensor.add(tensor.one(), h))
-    return mu if tensor.norm(mu) == target_t else None
+        delta = tensor.sub(tensor.mul(tensor.inv(nm), target), tensor.one)
+        mu = tensor.mul(mu, tensor.add(tensor.one, tensor.mul(w0, delta)))
+    return mu if _norm(witt, tensor, mu) == target else None
 
 
-def _trace_one_element(tensor):
-    """w0 in the Witt model with trace sum sigma^i(w0) = 1."""
-    from .intmatrix import zpk_solve
-
-    witt = tensor.witt
+def _trace_one_element(witt):
+    """w0 in the Witt model with trace sum sigma^i(w0) = 1, which exists
+    because the trace of an unramified extension is onto."""
     r, p, k = witt.r, witt.p, witt.k
     if r == 1:
         return witt.one()
@@ -666,17 +494,8 @@ def _trace_one_element(tensor):
     mat = [[rows[j][i] for j in range(r)] for i in range(r)]
     rhs = [1] + [0] * (r - 1)
     sol = zpk_solve(mat, rhs, p, k, r)
-    if sol is None:
-        return None
+    verify(sol is not None, "the trace of the Witt model is not onto")
     return witt.from_coords(sol)
-
-
-def _mod_p_equal(x, y, p):
-    for a, b in zip(x, y):
-        for c, d in zip(a, b):
-            if (c - d) % p:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

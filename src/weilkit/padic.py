@@ -23,6 +23,7 @@ from . import gfpoly as gp
 from .checks import verify
 from .hensel import lift_factorization
 from .intpoly import discriminant, is_squarefree
+from .tablering import TableRing
 
 
 class IrregularPlacesError(Exception):
@@ -128,6 +129,8 @@ class WittRingModel:
     Elements are tuples of r integers mod p^k (coordinates in the power
     basis of t).  The modulus is the lexicographically smallest monic
     irreducible of its degree, making models reproducible without a table.
+    Sums, products and inverses are those of `ring`, the `TableRing` on the
+    integer table of Z[t]/(m).
     """
 
     def __init__(self, p, r, k):
@@ -138,7 +141,9 @@ class WittRingModel:
         self.k = k
         self.pk = p ** k
         self.modulus = tuple(gp.lexicographically_smallest_irreducible(p, r))
-        self._red = self._reduction_table()
+        self.ring = ring = TableRing(_power_basis_table(self.modulus), self.one(), p, k)
+        self.add, self.sub, self.scal = ring.add, ring.sub, ring.scal
+        self.mul, self.inv = ring.mul, ring.inv
         self.frobenius_image = self._lift_frobenius()
         self._sigma_mats = self._sigma_matrices()
 
@@ -160,58 +165,6 @@ class WittRingModel:
         cs += [0] * (self.r - len(cs))
         return tuple(c % self.pk for c in cs)
 
-    def add(self, a, b):
-        return tuple((x + y) % self.pk for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.pk for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.pk for x in a)
-
-    def scal(self, c, a):
-        return tuple((c * x) % self.pk for x in a)
-
-    def _reduction_table(self):
-        # t^j mod (m, p^k) for j in [r, 2r-2]
-        red = {}
-        m = self.modulus
-        cur = [(-m[i]) % self.pk for i in range(self.r)]  # t^r
-        red[self.r] = tuple(cur)
-        for j in range(self.r + 1, 2 * self.r - 1):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            for i in range(self.r):
-                cur[i] = (cur[i] - top * m[i]) % self.pk
-            red[j] = tuple(cur)
-        return red
-
-    def mul(self, a, b):
-        r = self.r
-        prod = [0] * (2 * r - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.pk
-        out = list(prod[:r])
-        for j in range(r, 2 * r - 1):
-            c = prod[j]
-            if c:
-                rj = self._red[j]
-                for i in range(r):
-                    out[i] = (out[i] + c * rj[i]) % self.pk
-        return tuple(out)
-
-    def pow(self, a, n):
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     def poly_eval(self, coeffs, a):
         """Evaluate an integer-coefficient polynomial at a ring element."""
         acc = self.zero()
@@ -220,33 +173,12 @@ class WittRingModel:
             acc = self.add(acc, self.from_int(c))
         return acc
 
-    def is_unit(self, a):
-        return any(c % self.p for c in a)
-
-    def inv(self, a):
-        """Inverse of a unit, by mod-p inversion plus Newton lifting."""
-        if not self.is_unit(a):
-            raise ZeroDivisionError("not a unit")
-        a_p = [c % self.p for c in a]
-        m_p = [c % self.p for c in self.modulus]
-        # xgcd over F_p[t]
-        inv_p = _gf_inverse(a_p, m_p, self.p)
-        x = self.from_coords(inv_p)
-        # x <- x(2 - a x), doubling correct digits
-        prec = 1
-        while prec < self.k:
-            ax = self.mul(a, x)
-            two_minus = self.sub(self.from_int(2), ax)
-            x = self.mul(x, two_minus)
-            prec *= 2
-        return x
-
     def _lift_frobenius(self):
         # root of the modulus congruent to t^p mod p, by Newton iteration
         t = self.from_coords([0, 1] if self.r > 1 else [0])
         if self.r == 1:
             return self.from_int(0)  # t is absent; sigma is identity on Z_p
-        y = self.pow(t, self.p)
+        y = self.ring.power(t, self.p)
         m = list(self.modulus)
         dm = [(i * m[i]) % self.pk for i in range(1, len(m))]
         prec = 1
@@ -266,7 +198,7 @@ class WittRingModel:
         # sigma: t^j -> frobenius_image^j
         cols = []
         for j in range(self.r):
-            cols.append(self.pow(self.frobenius_image, j))
+            cols.append(self.ring.power(self.frobenius_image, j))
         mat1 = tuple(tuple(cols[j][i] for j in range(self.r)) for i in range(self.r))
         ident = tuple(
             tuple(1 if i == j else 0 for j in range(self.r)) for i in range(self.r)
@@ -295,31 +227,16 @@ class WittRingModel:
             for i in range(self.r)
         )
 
-    def truncate(self, a, k2):
-        """Reduce coordinates mod p^k2 (k2 <= k)."""
-        q = self.p ** k2
-        return tuple(c % q for c in a)
 
-    def val(self, a):
-        """Min valuation of the coordinates, capped at k."""
-        v = self.k
-        for c in a:
-            if c:
-                v = min(v, v_p(c, self.p))
-        return v
-
-
-def _gf_inverse(a, m, p):
-    r0, r1 = list(m), gp.gf_normal(list(a), p)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = gp.gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, gp.gf_sub(s0, gp.gf_mul(q, s1, p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("not invertible")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0]
+def _power_basis_table(m):
+    """Integer table of Z[t]/(m) on 1, t, .., t^(r-1) for m monic of degree
+    r: t^i t^j is t^(i+j) with t^r replaced by -(m_0 + .. + m_(r-1) t^(r-1))."""
+    r = len(m) - 1
+    powers = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    for _ in range(r - 1):
+        top = powers[-1]
+        powers.append(tuple(s - top[-1] * c for s, c in zip((0,) + top[:-1], m)))
+    return tuple(tuple(powers[i + j] for j in range(r)) for i in range(r))
 
 
 # -- place decomposition ---------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import gfpoly as gp
 from .checks import verify
-from .intmatrix import nullspace_mod_p, rref_mod_p, zpk_solve
+from .intmatrix import nullspace_mod_p, rref_mod_p
 
 
 def table_product(table, u, v):
@@ -51,7 +51,7 @@ class TableRing:
 
     def reduce(self, u):
         q = self.q
-        return tuple(c % q for c in u)
+        return tuple([c % q for c in u])
 
     def basis(self, i):
         return tuple(int(j == i) for j in range(self.d))
@@ -80,15 +80,16 @@ class TableRing:
         return self.one if result is None else result
 
     def inv(self, u):
-        """Inverse of a unit: a solve mod p, then Newton steps
-        x <- x (2 - u x), each doubling the precision."""
-        p = self.p
-        cols = [self.mul(u, self.basis(i)) for i in range(self.d)]
-        mat = [[col[t] % p for col in cols] for t in range(self.d)]
-        x0 = zpk_solve(mat, [c % p for c in self.one], p, 1, self.d)
-        if x0 is None:
+        """Inverse of a unit: the echelon form of (u b_0 .. u b_(d-1) | 1)
+        mod p, then Newton steps x <- x (2 - u x), each doubling the
+        precision.  u is a unit exactly when the first d columns are
+        pivots, and then the solution mod p is unique."""
+        d = self.d
+        cols = [self.mul(u, self.basis(i)) for i in range(d)]
+        ech, piv = rref_mod_p([[col[t] for col in cols] + [self.one[t]] for t in range(d)], self.p)
+        if piv != list(range(d)):
             raise ZeroDivisionError("not a unit")
-        x = tuple(x0)
+        x = tuple(row[d] for row in ech)
         two = self.scal(2, self.one)
         prec = 1
         while prec < self.k:

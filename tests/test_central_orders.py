@@ -33,10 +33,8 @@ def test_rank_two_gaussian_order():
     order = build_order(w)
     assert order.rank == 2
     assert order.basis_labels == ("F", "1")
-    f = order._coords_of_label("F")
-    v = order._coords_of_label("V")
+    f, v, one = order.generators
     assert v == [-c for c in f]  # V = -F since F^2 = -9
-    one = order._unit_coords()
     assert order.multiply(f, f) == [-9 * c for c in one]
 
 

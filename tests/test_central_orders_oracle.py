@@ -487,9 +487,9 @@ def assert_orders_agree(rng, w):
     assert all(type(c) is Fraction for row in new.basis_vectors for c in row)
     assert new.table == old.table
     assert new.as_dict() == old.as_dict()
-    for name in ("F", "V"):
-        assert new._coords_of_label(name) == old._coords_of_label(name)
-    assert new._unit_coords() == old._unit_coords()
+    assert new.generators == (
+        old._coords_of_label("F"), old._coords_of_label("V"), old._unit_coords()
+    )
     (vec,) = random_fraction_rows(rng, new.rank, 1)
     assert new.element_coords(vec) == old.element_coords(vec)
     rows = overorder(rng, new)

@@ -334,6 +334,60 @@ def test_verified_cache_hit_leaves_the_file_untouched(tmp_path, capsys, monkeypa
     assert target.read_text() == raw
 
 
+def test_failed_cache_verification_goes_to_the_output_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WEILKIT_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ("enumerate", "--q", "3", "--max-degree", "2")
+    code, _, raw = invoke(capsys, *argv)
+    assert code == 0
+    (target,) = (tmp_path / "cache").iterdir()
+    target.write_text(raw.replace('"count": 7', '"count": 8'))
+    out = tmp_path / "doc.json"
+    code = run(["--verify-cache", "--output", str(out), *argv])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text())
+    assert doc == {"schema": "weilkit/1", "command": "enumerate", "error": "cache verification failed"}
+
+
+def test_cache_miss_writes_one_whole_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("WEILKIT_CACHE_DIR", str(cache))
+    code, _, raw = invoke(capsys, "order", "--q", "3", "--poly", "3,1,1")
+    assert code == 0
+    (target,) = cache.iterdir()
+    assert target.name.endswith(".json") and target.read_text() == raw
+
+
+def test_cache_write_failing_midway_leaves_nothing(tmp_path, capsys, monkeypatch):
+    import weilkit.cli as cli
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("WEILKIT_CACHE_DIR", str(cache))
+
+    class HalfWrite:
+        """A file that takes half the text, then fails as a full disk does."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        run(["order", "--q", "3", "--poly", "3,1,1"])
+    assert list(cache.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
 def test_no_cache_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WEILKIT_CACHE_DIR", str(tmp_path / "cache"))
     code, _, _ = invoke(capsys, "--no-cache", "enumerate", "--q", "3", "--max-degree", "2")

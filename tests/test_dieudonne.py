@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from weilkit.checks import VerificationError
 from weilkit.dieudonne import (
     associativity_report,
     build_dieudonne,
@@ -151,3 +157,37 @@ def test_export_shape_and_roundtrip():
         _set(ctx, *[tuple(cs) for cs in data["polys"]]), data["k"]
     )
     assert rebuilt.export() == data
+
+
+def test_checks_survive_optimized_mode():
+    """A corrupted rewrite of F_N fails the associativity check under
+    `python -O` too."""
+    script = (
+        "from weilkit.dieudonne import associativity_report, build_dieudonne\n"
+        "from weilkit.intpoly import IntPolynomial\n"
+        "from weilkit.weil import GlobalContext, validate_weil, weil_set\n"
+        "ctx = GlobalContext.from_q(9)\n"
+        "w = weil_set([validate_weil(IntPolynomial((9, -1, 1)), ctx)])\n"
+        "alg = build_dieudonne(w, 3)\n"
+        "top = list(alg.rewrites[alg.n_bound])\n"
+        "top[alg.slot_of_index(0)] = alg.witt.add(top[alg.slot_of_index(0)], alg.witt.from_int(3))\n"
+        "alg.rewrites[alg.n_bound] = tuple(top)\n"
+        "try:\n"
+        "    associativity_report(alg)\n"
+        "except AssertionError as e:\n"
+        "    print('raised:', type(e).__name__, e)\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: VerificationError associativity fails at (-2,-1,1)\n", flags
+    assert issubclass(VerificationError, AssertionError)

@@ -33,43 +33,34 @@ def _check_snf(m):
 
 
 def _reduction_oracle(m):
-    """Exhaustive elementary row/column reduction without transform tracking."""
+    """Exhaustive elementary row/column reduction without transform tracking.
+
+    Each pass moves the entry of least absolute value in the trailing block
+    to the pivot and clears its row and column by division with remainder;
+    a nonzero remainder is smaller than the pivot, so the next pass picks a
+    smaller one, and the passes end."""
     a = [list(r) for r in m.rows]
     nr = len(a)
     nc = len(a[0]) if a else 0
-    t = 0
-    while t < min(nr, nc):
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        a[t], a[piv[0]] = a[piv[0]], a[t]
-        for row in a:
-            row[t], row[piv[1]] = row[piv[1]], row[t]
-        again = True
-        while again:
-            again = False
-            for i in range(nr):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(nc):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        again = True
-            for j in range(nc):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(nr):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        again = True
-        t += 1
+    for t in range(min(nr, nc)):
+        while True:
+            cells = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+            if not cells:
+                break
+            _, pi, pj = min(cells)
+            a[t], a[pi] = a[pi], a[t]
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            for i in range(t + 1, nr):
+                q = a[i][t] // a[t][t]
+                for j in range(t, nc):
+                    a[i][j] -= q * a[t][j]
+            for j in range(t + 1, nc):
+                q = a[t][j] // a[t][t]
+                for i in range(t, nr):
+                    a[i][j] -= q * a[i][t]
+            if not any(a[i][t] for i in range(t + 1, nr)) and not any(a[t][t + 1:]):
+                break
     from math import gcd
 
     diag = [abs(a[i][i]) for i in range(min(nr, nc))]
@@ -106,14 +97,19 @@ def test_snf_rank_deficient_tall():
     ]
     diag = _check_snf(IntegerMatrix(rows))
     assert sum(1 for x in diag if x) == 5
+    assert sorted(abs(x) for x in diag) == _reduction_oracle(IntegerMatrix(rows))
     assert _check_snf(IntegerMatrix([[6 * c for c in r] for r in rows]))[0] == 6 * diag[0]
 
 
 def test_snf_random():
     rng = random.Random(5)
     for _ in range(60):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        m = IntegerMatrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        if nr > 2 and rng.random() < 0.5:
+            rows[rng.randrange(nr)] = [0] * nc
+            rows[rng.randrange(nr)] = list(rows[rng.randrange(nr)])
+        m = IntegerMatrix(rows)
         diag = _check_snf(m)
         oracle = _reduction_oracle(m)
         assert sorted(abs(x) for x in diag) == sorted(oracle)
