@@ -12,7 +12,6 @@ from .padic import (
     PlaceAboveP,
     WittRingModel,
     decompose_places,
-    load_overrides,
     newton_polygon,
 )
 from .weil import (

@@ -5,8 +5,8 @@ dieudonne-center, example-sec9, gamma-witness, ingest.  Every run prints a
 single JSON document with a schema marker; identical requests produce
 byte-identical output (lists are sorted and no timestamps are emitted), so
 results can be cached content-addressed by request.  Exit codes: 0 success,
-2 domain rejection (not a Weil polynomial, irregular class without an
-override), 1 malformed requests and other errors.
+2 domain rejection (not a Weil polynomial, place data failing its degree or
+valuation-sum check), 1 malformed requests and other errors.
 
 Polynomials on the wire are comma-separated integers, constant term first.
 The cache directory is taken from WEILKIT_CACHE_DIR; --no-cache disables
@@ -24,9 +24,10 @@ import json
 import os
 import sys
 import threading
+from fractions import Fraction
 
 from . import __version__
-from .central_orders import build_order, connected_components
+from .central_orders import build_order, connected_components, index_in
 from .dieudonne import build_dieudonne, verify_center
 from .hondatate import (
     gamma_witnesses,
@@ -34,7 +35,7 @@ from .hondatate import (
     rank_of_hom_lattice,
 )
 from .intpoly import IntPolynomial
-from .padic import IrregularPlacesError, load_overrides
+from .padic import IrregularPlacesError
 from .supersingular import (
     center_index_in_gaussian_scalars,
     endomorphism_order,
@@ -94,6 +95,21 @@ def _record_payload(rec):
     return rec.as_dict()
 
 
+def _weil_set_of(texts, ctx):
+    """The WeilSet of the --poly values, or DomainRejection at the first one
+    that is not a Weil class."""
+    classes = []
+    for text in texts:
+        poly = parse_poly(text)
+        try:
+            classes.append(validate_weil(poly, ctx))
+        except NotWeilError as e:
+            raise DomainRejection(
+                {"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason}
+            )
+    return weil_set(classes)
+
+
 # -- subcommand implementations ---------------------------------------------
 
 
@@ -135,7 +151,6 @@ def cmd_enumerate(args):
 def cmd_invariants(args):
     ctx = parse_context(args)
     poly = parse_poly(args.poly)
-    overrides = load_overrides(args.overrides) if args.overrides else None
     try:
         cls = validate_weil(poly, ctx)
     except NotWeilError as e:
@@ -143,7 +158,7 @@ def cmd_invariants(args):
             {"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason}
         )
     try:
-        rec = honda_tate_record(cls, overrides=overrides)
+        rec = honda_tate_record(cls)
     except IrregularPlacesError as e:
         raise DomainRejection(
             {"poly": _poly_list(poly), "q": ctx.q, "reason": "irregular", "detail": str(e)}
@@ -153,31 +168,13 @@ def cmd_invariants(args):
 
 def cmd_order(args):
     ctx = parse_context(args)
-    classes = []
-    for text in args.poly:
-        poly = parse_poly(text)
-        try:
-            classes.append(validate_weil(poly, ctx))
-        except NotWeilError as e:
-            raise DomainRejection(
-                {"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason}
-            )
-    w = weil_set(classes)
+    w = _weil_set_of(args.poly, ctx)
     return build_order(w).as_dict()
 
 
 def cmd_components(args):
     ctx = parse_context(args)
-    classes = []
-    for text in args.poly:
-        poly = parse_poly(text)
-        try:
-            classes.append(validate_weil(poly, ctx))
-        except NotWeilError as e:
-            raise DomainRejection(
-                {"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason}
-            )
-    w = weil_set(classes)
+    w = _weil_set_of(args.poly, ctx)
     comps = connected_components(w)
     return {
         "q": ctx.q,
@@ -191,16 +188,7 @@ def cmd_components(args):
 
 def cmd_dieudonne_center(args):
     ctx = parse_context(args)
-    classes = []
-    for text in args.poly:
-        poly = parse_poly(text)
-        try:
-            classes.append(validate_weil(poly, ctx))
-        except NotWeilError as e:
-            raise DomainRejection(
-                {"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason}
-            )
-    w = weil_set(classes)
+    w = _weil_set_of(args.poly, ctx)
     precision = args.precision or max(4, 2 * ctx.r + 2)
     alg = build_dieudonne(w, precision)
     report = verify_center(alg)
@@ -227,18 +215,11 @@ def cmd_example_sec9(args):
     order, center = endomorphism_order(p)
     count, proper = lattice_class_count(p)
     glued = glued_lattice(p, order)
-    from fractions import Fraction
-
-    from .central_orders import build_order as _build
-    from .weil import weil_set as _ws
-
-    r_pi = _build(_ws([cls]))
+    r_pi = build_order(weil_set([cls]))
     gaussian = [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1, p)],
     ]
-    from .central_orders import index_in
-
     return {
         "p": p,
         "q": p * p,
@@ -384,7 +365,6 @@ def build_parser():
     sp = sub.add_parser("invariants", help="Honda-Tate record of one class")
     add_ctx(sp)
     sp.add_argument("--poly", required=True)
-    sp.add_argument("--overrides", help="JSON override file for irregular classes")
     sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("order", help="minimal central order of a set of classes")

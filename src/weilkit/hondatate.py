@@ -47,11 +47,11 @@ class HondaTateRecord:
         }
 
 
-def honda_tate_record(cls, overrides=None):
-    """Invariants of one Weil class; raises IrregularPlacesError when the
-    place pipeline needs an override it was not given."""
+def honda_tate_record(cls):
+    """Invariants of one Weil class; raises IrregularPlacesError when its
+    place data fails the degree or valuation-sum check."""
     ctx = cls.context
-    places = tuple(decompose_places(cls.polynomial, ctx.p, ctx.r, overrides=overrides))
+    places = tuple(decompose_places(cls.polynomial, ctx.p, ctx.r))
     # non-real classes are totally imaginary; the real class x^2 - q has two
     # real embeddings and a rational class one
     if not cls.is_real:

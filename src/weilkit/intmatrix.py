@@ -61,9 +61,6 @@ class IntegerMatrix:
             )
         )
 
-    def transpose(self):
-        return IntegerMatrix(tuple(zip(*self.rows))) if self.rows else self
-
     def diagonal(self):
         return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
@@ -449,28 +446,3 @@ def zpk_solve(rows, rhs, p, k, ncols):
         y[i] = (target // pe) % (p ** (k - e))
     return [sum(v[i][j] * y[j] for j in range(ncols)) % q for i in range(ncols)]
 
-
-def zpk_kernel(rows, p, k, ncols):
-    """Generators of {x : A x = 0 mod p^k} for A given by `rows`."""
-    q = p ** k
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
-    _, d, v = smith_normal_form(IntegerMatrix(rows))
-    diag = list(d.diagonal())
-    gens = []
-    for j in range(ncols):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            mult = 1
-        else:
-            # need dj * y = 0 mod p^k: y multiple of p^(k - v_p(dj)) when v < k
-            v_p = 0
-            t = dj
-            while t % p == 0:
-                t //= p
-                v_p += 1
-            mult = p ** max(k - v_p, 0) if v_p < k else 1
-        col = tuple((v.rows[i][j] * mult) % q for i in range(ncols))
-        if any(col):
-            gens.append(col)
-    return gens

@@ -6,15 +6,15 @@ invariant).
 
 Valuations are normalized with v(p) = 1 and kept as exact Fractions.  The
 place decomposition runs the classical Newton-polygon/residual-polynomial
-method with at most one refinement round (integral slope, repeated linear
-residual factor); anything deeper raises IrregularPlacesError carrying the
-partial data, and a user-supplied override table can stand in for such
-classes.
+method once, at one working precision, with at most one refinement round
+(integral slope, repeated linear residual factor).  A class it cannot finish
+(precision ran out, or a segment is still irregular) goes to the exact
+p-maximal-order route of `padicorders`.  Either route's places must pass the
+degree and valuation-sum checks, or IrregularPlacesError is raised.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,27 +22,21 @@ from math import gcd
 from . import gfpoly as gp
 from .checks import verify
 from .hensel import lift_factorization
-from .intpoly import discriminant, is_squarefree
 from .tablering import TableRing
 
 
 class IrregularPlacesError(Exception):
-    """Raised when one refinement round cannot separate the places.
+    """Raised when place data fails the degree or valuation-sum check."""
 
-    Carries the input, the places recovered so far, and a description of the
-    offending polygon segment so an override can be prepared.
-    """
-
-    def __init__(self, message, poly=None, p=None, partial=(), detail=""):
+    def __init__(self, message, poly=None, p=None):
         super().__init__(message)
         self.poly = poly
         self.p = p
-        self.partial = tuple(partial)
-        self.detail = detail
 
 
-class _PrecisionLoss(Exception):
-    pass
+class _HandOver(Exception):
+    """The Newton route cannot finish a class: the working precision ran out
+    or a segment is still irregular after one refinement round."""
 
 
 def v_p(n, p):
@@ -276,16 +270,9 @@ def make_place(e, f, root_valuation, r):
     return PlaceAboveP(e, f, val, Fraction(val.numerator * e * f % den, den))
 
 
-def default_precision(poly, p, r):
-    """Working precision: generous enough to separate Hensel factors."""
-    vd = v_p(discriminant(poly), p) if is_squarefree(poly) else 0
-    return 2 * (r * poly.degree + vd) + 4
-
-
-def _starting_precision(poly, p, r):
-    """Cheap starting cap; the retry loop raises it on demand and every
-    polygon/residual conclusion is precision-checked, so starting low is
-    safe and avoids a discriminant per call."""
+def _working_precision(poly, p, r):
+    """Cheap cap with no discriminant: every polygon/residual conclusion is
+    precision-checked, and a class that outruns it goes to the order route."""
     return 2 * r * poly.degree + v_p(abs(poly.coeffs[0]), p) + 6
 
 
@@ -326,13 +313,13 @@ def _segments_of(coeffs, p, cap):
     coefficient list taken mod p^cap."""
     pts = _poly_val(coeffs, p, cap)
     if not pts or pts[0][0] != 0:
-        raise _PrecisionLoss("constant term lost at working precision")
+        raise _HandOver("constant term lost at working precision")
     hull = _lower_hull(pts)
     if hull[-1][0] != len(coeffs) - 1:
-        raise _PrecisionLoss("leading term lost at working precision")
+        raise _HandOver("leading term lost at working precision")
     for _, v in hull:
         if v >= cap - 1:
-            raise _PrecisionLoss("hull vertex at working precision")
+            raise _HandOver("hull vertex at working precision")
     segs = []
     for left, right in zip(hull, hull[1:]):
         rise = left[1] - right[1]
@@ -368,7 +355,7 @@ def _scale_down(coeffs, p, a, cap):
     ]
     c = min(vals)
     if cap <= c:
-        raise _PrecisionLoss("scaling exhausted precision")
+        raise _HandOver("scaling exhausted precision")
     mod_out = p ** (cap - c)
     out = []
     for j, coef in enumerate(coeffs):
@@ -404,11 +391,7 @@ def _analyze(coeffs, p, cap, offset, depth, max_val, out):
                 out.append((b, len(irr) - 1, offset + s))
         return
     if depth >= 1:
-        raise IrregularPlacesError(
-            "refinement depth exhausted",
-            partial=list(out),
-            detail="repeated residual factor after one refinement",
-        )
+        raise _HandOver("repeated residual factor after one refinement")
     # peel at the minimal-valuation segment; it is always in `analysis`
     # because the filter can only drop a suffix of the (decreasing) slopes
     a, b, length, left, right = min(segs, key=lambda t: Fraction(t[0], t[1]))
@@ -419,11 +402,7 @@ def _analyze(coeffs, p, cap, offset, depth, max_val, out):
             seg_factors = fs
     verify(seg_factors is not None, "minimal segment missing from analysis")
     if b != 1:
-        raise IrregularPlacesError(
-            "repeated residual factor on a non-integral slope",
-            partial=list(out),
-            detail="slope %s" % s,
-        )
+        raise _HandOver("repeated residual factor on a non-integral slope")
     scaled, _c, cap2 = _scale_down(coeffs, p, a, cap)
     # reduction mod p of scaled = y^{i0} * residual(y)
     i0 = left[0]
@@ -450,12 +429,7 @@ def _analyze(coeffs, p, cap, offset, depth, max_val, out):
             out.append((1, len(irr) - 1, offset + a))
             continue
         if len(irr) - 1 > 1:
-            raise IrregularPlacesError(
-                "repeated nonlinear residual factor",
-                partial=list(out),
-                detail="residual factor of degree %d with multiplicity %d"
-                % (len(irr) - 1, m),
-            )
+            raise _HandOver("repeated nonlinear residual factor")
         c0 = (-irr[0]) % p
         shifted = _shift_poly(factor_poly, c0, p ** cap2)
         # one refinement round: analyze with the valuation pinned to offset+a
@@ -471,11 +445,7 @@ def _analyze_refined(coeffs, p, cap, pinned_val, out):
         _, factors = gp.factor(res, p)
         for irr, m in factors:
             if m > 1:
-                raise IrregularPlacesError(
-                    "refinement depth exhausted",
-                    partial=list(out),
-                    detail="repeated residual factor after one refinement",
-                )
+                raise _HandOver("repeated residual factor after one refinement")
             out.append((b, len(irr) - 1, pinned_val))
 
 
@@ -491,70 +461,36 @@ def _has_conjugation_symmetry(poly, q):
     return lhs == rhs or lhs == [-c for c in rhs]
 
 
-def decompose_places(poly, p, r, overrides=None):
+def decompose_places(poly, p, r):
     """All p-adic places of the number field of an irreducible Weil-class
     polynomial: returns a list of PlaceAboveP sorted by root valuation.
 
-    The override table maps (coefficients, p) to explicit (e, f, valuation)
-    triples for classes the one-round refinement cannot separate; entries
-    are still checked against the degree and constant-term invariants.
+    The Newton route runs once at the working precision; a class it cannot
+    finish goes to the exact p-maximal-order route, which needs no precision.
     """
     if not poly.is_monic or poly.degree < 1:
         raise ValueError("monic nonconstant polynomial required")
     if poly.coeffs[0] == 0:
         raise ValueError("remove zero roots first")
-    q = p ** r
-    key = (tuple(poly.coeffs), p)
-    if overrides and key in overrides:
-        triples = overrides[key]
-        places = [make_place(e, f, val, r) for e, f, val in triples]
-        _check_place_sums(places, poly, p, "override data")
-        # the slope type is read off the places, so their valuations must be
-        # the Newton polygon's, not only sum to v_p(P(0))
-        vals = sorted(pl.root_valuation for pl in places for _ in range(pl.degree))
-        if vals != newton_polygon(poly, p).root_valuations():
-            raise IrregularPlacesError(
-                "override data failed invariant checks: root valuations differ"
-                " from the Newton polygon",
-                poly=poly,
-                p=p,
-            )
-        return sorted(places, key=lambda pl: (pl.root_valuation, pl.f, pl.e))
-
     if poly.degree == 1:
         val = Fraction(v_p(poly.coeffs[0], p))
         places = [make_place(1, 1, val, r)]
-        _check_place_sums(places, poly, p, "place data", partial=places)
+        _check_place_sums(places, poly, p)
         return places
 
-    symmetric = _has_conjugation_symmetry(poly, q)
     half = Fraction(r, 2)
-    max_val = half if symmetric else Fraction(r * poly.degree)
+    mirror = _has_conjugation_symmetry(poly, p ** r)
+    max_val = half if mirror else Fraction(r * poly.degree)
+    cap = _working_precision(poly, p, r)
+    triples = []
+    try:
+        _analyze(list(poly.coeffs), p, cap, Fraction(0), 0, max_val, triples)
+    except _HandOver:
+        # the order route finds every place, so there is nothing to mirror
+        from .padicorders import places_from_order
 
-    cap = _starting_precision(poly, p, r)
-    last_err = None
-    triples = None
-    mirror = symmetric
-    for _ in range(6):
-        triples = []
-        try:
-            _analyze(list(poly.coeffs), p, cap, Fraction(0), 0, max_val, triples)
-        except _PrecisionLoss as e:
-            cap *= 2
-            last_err = e
-            continue
-        except IrregularPlacesError:
-            # one refinement round is not enough; switch to the independent
-            # maximal-order route, which needs no mirroring
-            from .padicorders import places_from_order
-
-            triples = places_from_order(poly, p, r)
-            mirror = False
-        break
-    else:
-        raise IrregularPlacesError(
-            "precision did not stabilize: %s" % last_err, poly=poly, p=p
-        )
+        triples = places_from_order(poly, p, r)
+        mirror = False
 
     places = [make_place(e, f, val, r) for e, f, val in triples]
     if mirror:
@@ -564,11 +500,11 @@ def decompose_places(poly, p, r, overrides=None):
             if pl.root_valuation < half
         ]
         places.extend(mirrored)
-    _check_place_sums(places, poly, p, "place data", partial=places)
+    _check_place_sums(places, poly, p)
     return sorted(places, key=lambda pl: (pl.root_valuation, pl.f, pl.e))
 
 
-def _check_place_sums(places, poly, p, source, partial=()):
+def _check_place_sums(places, poly, p):
     """Raise IrregularPlacesError unless the place degrees sum to deg P and
     the degree-weighted root valuations to v_p(P(0)).  The test is explicit
     rather than an assert so that it also runs under python -O."""
@@ -582,30 +518,5 @@ def _check_place_sums(places, poly, p, source, partial=()):
     else:
         return
     raise IrregularPlacesError(
-        "%s failed invariant checks: %s" % (source, problem),
-        poly=poly,
-        p=p,
-        partial=partial,
+        "place data failed invariant checks: %s" % problem, poly=poly, p=p
     )
-
-
-# -- override files --------------------------------------------------------
-
-
-def load_overrides(path):
-    """Read an override file: JSON list of {poly, p, places:[{e,f,val_num,val_den}]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    table = {}
-    for entry in data:
-        key = (tuple(int(c) for c in entry["poly"]), int(entry["p"]))
-        triples = [
-            (
-                int(pl["e"]),
-                int(pl["f"]),
-                Fraction(int(pl["val_num"]), int(pl["val_den"])),
-            )
-            for pl in entry["places"]
-        ]
-        table[key] = triples
-    return table

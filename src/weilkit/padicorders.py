@@ -1,10 +1,11 @@
 """Place data via p-maximal orders.
 
-Fallback route for the classes where the one-round Newton-polygon pipeline
-cannot separate the places: compute a p-maximal order in Q[x]/(P) by the
-multiplier-ring (round-2) iteration, split its reduction mod p into local
-components through Frobenius kernels plus idempotent lifting, and read off
-(e, f, v(pi)) per component.  Everything is exact integer/rational linear
+Fallback route for the classes the one-round Newton-polygon pipeline cannot
+finish (its working precision ran out, or a segment is still irregular):
+compute a p-maximal order in Q[x]/(P) by the multiplier-ring (round-2)
+iteration, split its reduction mod p into local components through
+Frobenius kernels plus idempotent lifting, and read off (e, f, v(pi)) per
+component.  Everything is exact integer/rational linear
 algebra; the caller re-verifies the results against the degree and
 valuation-sum invariants.  The mod-p and mod-p^N arithmetic runs in
 `tablering.TableRing` on the order's integer multiplication table, and every

@@ -265,9 +265,6 @@ class OrderPresentation:
         """Membership via exact solve against the HNF basis."""
         return self._spans(matrix_to_coords(m))
 
-    def satisfies_predicate(self, m):
-        return congruence_predicate(m, self.p)
-
 
 def _congruence_lattice(p):
     """HNF basis of {p | c, a = conj(d) mod p} and its index in M_2(Z[i])."""

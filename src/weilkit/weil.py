@@ -347,14 +347,6 @@ def validate_weil(poly, ctx):
     raise NotWeilError("real-root-outside-bound")
 
 
-def is_weil(poly, ctx):
-    try:
-        validate_weil(poly, ctx)
-        return True
-    except NotWeilError:
-        return False
-
-
 # -- Weil sets -------------------------------------------------------------
 
 

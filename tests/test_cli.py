@@ -435,25 +435,47 @@ def test_parser_reused_without_leaking_state(capsys, monkeypatch):
     assert fresh == reused
 
 
-def test_override_checks_survive_optimized_mode(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            [{"poly": [9, 0, 1], "p": 3, "places": [{"e": 1, "f": 1, "val_num": 1, "val_den": 1}]}]
-        )
-    )
+# the order route misreports one root valuation of a pinned round-2 class
+WRONG_ORDER_ROUTE = """
+import sys
+import weilkit.padicorders as po
+from weilkit.cli import run
+from weilkit.intpoly import IntPolynomial
+from weilkit.padic import IrregularPlacesError, decompose_places
+
+honest = po.places_from_order
+
+
+def wrong(poly, p, r):
+    (e, f, v), *rest = honest(poly, p, r)
+    return [(e, f, v + 1), *rest]
+
+
+po.places_from_order = wrong
+try:
+    decompose_places(IntPolynomial((9, 0, 3, 0, 1)), 3, 1)
+except IrregularPlacesError as e:
+    print("caught:", e, file=sys.stderr)
+else:
+    sys.exit("decompose_places accepted a wrong valuation sum")
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def test_place_sum_check_survives_optimized_mode():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("WEILKIT_CACHE_DIR", None)
-    argv = ["invariants", "--q", "9", "--poly", "9,0,1", "--overrides", str(bad)]
+    argv = ["invariants", "--q", "3", "--poly", "9,0,3,0,1"]
     for flags in ([], ["-O"]):
         done = subprocess.run(
-            [sys.executable, *flags, "-c", "import sys; from weilkit.cli import run; sys.exit(run(sys.argv[1:]))", *argv],
+            [sys.executable, *flags, "-c", WRONG_ORDER_ROUTE, *argv],
             env=env,
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert done.returncode == 2, (flags, done.stdout, done.stderr)
+        assert "caught: place data failed invariant checks: valuation sum" in done.stderr
         doc = json.loads(done.stdout)
         assert doc["rejected"] is True and doc["reason"] == "irregular"

@@ -10,7 +10,6 @@ from weilkit.intmatrix import (
     nullspace_mod_p,
     smith_normal_form,
     zpk_canonical,
-    zpk_kernel,
 )
 
 
@@ -172,14 +171,3 @@ def test_zpk_canonical_module_equality():
     assert zpk_canonical(gens1, p, k) == zpk_canonical(gens2, p, k)
     gens3 = [(1, 0), (0, 1)]
     assert zpk_canonical(gens1, p, k) != zpk_canonical(gens3, p, k)
-
-
-def test_zpk_kernel():
-    p, k = 3, 2
-    rows = [(3, 0), (0, 1)]
-    gens = zpk_kernel(rows, p, k, 2)
-    q = p ** k
-    for g in gens:
-        assert (3 * g[0]) % q == 0 and g[1] % q == 0
-    # 3x = 0 mod 9 has solutions x = 0, 3, 6: kernel nontrivial
-    assert any(any(c for c in g) for g in gens)

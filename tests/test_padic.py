@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from weilkit import padic, padicorders
 from weilkit.hensel import lift_factorization
-from weilkit.intpoly import IntPolynomial
+from weilkit.intpoly import IntPolynomial, discriminant, is_squarefree
 from weilkit.padic import (
-    IrregularPlacesError,
     WittRingModel,
     decompose_places,
-    default_precision,
     make_place,
     newton_polygon,
     v_p,
@@ -149,29 +148,43 @@ def test_hensel_split_random_reconstruction():
 # -- place decomposition ---------------------------------------------------
 
 
-def places_tuple(poly, p, r, **kw):
+def places_tuple(poly, p, r):
     return [
         (pl.e, pl.f, pl.root_valuation, pl.invariant)
-        for pl in decompose_places(poly, p, r, **kw)
+        for pl in decompose_places(poly, p, r)
     ]
+
+
+def default_precision(poly, p, r):
+    """A generous cap from v_p(disc), against which the working one is checked."""
+    vd = v_p(discriminant(poly), p) if is_squarefree(poly) else 0
+    return 2 * (r * poly.degree + vd) + 4
+
+
+SPEC_EXAMPLES = (
+    ((9, 0, 1), 3, 2, [(1, 2, F(1), F(0))]),
+    ((32, -2, 1), 2, 5, [(1, 1, F(1), F(1, 5)), (1, 1, F(4), F(4, 5))]),
+    # Eisenstein: totally ramified
+    ((-3, 0, 1), 3, 1, [(2, 1, F(1, 2), F(0))]),
+)
+
+# segments with repeated linear residual factors force one refinement
+REFINEMENT_CASES = (
+    ((9, 3, 1), 3, 2, [(2, 1, F(1), F(0))]),
+    ((9, -3, 1), 3, 2, [(2, 1, F(1), F(0))]),
+    ((4, 0, 1), 2, 2, [(2, 1, F(1), F(0))]),
+    ((4, 2, 1), 2, 2, [(1, 2, F(1), F(0))]),
+)
 
 
 def test_places_spec_examples():
-    assert places_tuple(P(9, 0, 1), 3, 2) == [(1, 2, F(1), F(0))]
-    assert places_tuple(P(32, -2, 1), 2, 5) == [
-        (1, 1, F(1), F(1, 5)),
-        (1, 1, F(4), F(4, 5)),
-    ]
-    # Eisenstein: totally ramified
-    assert places_tuple(P(-3, 0, 1), 3, 1) == [(2, 1, F(1, 2), F(0))]
+    for coeffs, p, r, want in SPEC_EXAMPLES:
+        assert places_tuple(P(*coeffs), p, r) == want
 
 
 def test_places_refinement_cases():
-    # segments with repeated linear residual factors force one refinement
-    assert places_tuple(P(9, 3, 1), 3, 2) == [(2, 1, F(1), F(0))]
-    assert places_tuple(P(9, -3, 1), 3, 2) == [(2, 1, F(1), F(0))]
-    assert places_tuple(P(4, 0, 1), 2, 2) == [(2, 1, F(1), F(0))]
-    assert places_tuple(P(4, 2, 1), 2, 2) == [(1, 2, F(1), F(0))]
+    for coeffs, p, r, want in REFINEMENT_CASES:
+        assert places_tuple(P(*coeffs), p, r) == want
 
 
 def test_places_degree_one():
@@ -209,19 +222,6 @@ def test_places_precision_stability():
         assert results[0] == results[1] == results[2]
 
 
-def test_places_overrides():
-    key = (9, 3, 1)
-    table = {((9, 3, 1), 3): [(2, 1, F(1))]}
-    assert places_tuple(P(*key), 3, 2, overrides=table) == [(2, 1, F(1), F(0))]
-    bad = {((9, 3, 1), 3): [(1, 1, F(1))]}
-    with pytest.raises(IrregularPlacesError):
-        places_tuple(P(*key), 3, 2, overrides=bad)
-    # degrees and valuation sum agree, but the polygon has both roots at 1
-    split = {((9, 3, 1), 3): [(1, 1, F(0)), (1, 1, F(2))]}
-    with pytest.raises(IrregularPlacesError, match="Newton polygon"):
-        places_tuple(P(*key), 3, 2, overrides=split)
-
-
 def test_make_place_invariant():
     pl = make_place(1, 1, F(4), 5)
     assert pl.invariant == F(4, 5)
@@ -229,30 +229,6 @@ def test_make_place_invariant():
     assert pl.invariant == 0
     pl = make_place(1, 1, F(1), 2)
     assert pl.invariant == F(1, 2)
-
-
-def test_load_overrides_file(tmp_path):
-    import json
-
-    from weilkit.padic import load_overrides
-
-    path = tmp_path / "ov.json"
-    path.write_text(
-        json.dumps(
-            [
-                {
-                    "poly": [9, 3, 1],
-                    "p": 3,
-                    "places": [{"e": 2, "f": 1, "val_num": 1, "val_den": 1}],
-                }
-            ]
-        )
-    )
-    table = load_overrides(str(path))
-    assert ((9, 3, 1), 3) in table
-    assert places_tuple(P(9, 3, 1), 3, 2, overrides=table) == [
-        (2, 1, F(1), F(0))
-    ]
 
 
 # -- the two place routes ----------------------------------------------------
@@ -303,3 +279,31 @@ def test_place_routes_agree(q, coeffs):
     got = sorted((pl.e, pl.f, pl.root_valuation) for pl in decompose_places(poly, ctx.p, ctx.r))
     want = sorted((e, f, F(v)) for e, f, v in places_from_order(poly, ctx.p, ctx.r))
     assert got == want
+
+
+def test_out_of_precision_class_goes_to_the_order_route(monkeypatch):
+    """At a cap that loses the constant term, the Newton route hands the
+    class to the order route, which finds the same places."""
+    from weilkit.weil import GlobalContext
+
+    cases = [(P(*c), p, r) for c, p, r, _ in SPEC_EXAMPLES + REFINEMENT_CASES]
+    for q, coeffs in (ROUND2_CLASSES[0], ROUND2_CLASSES[8], ROUND2_CLASSES[12]):
+        ctx = GlobalContext.from_q(q)
+        cases.append((P(*coeffs), ctx.p, ctx.r))
+    want = [places_tuple(poly, p, r) for poly, p, r in cases]
+
+    honest = padicorders.places_from_order
+    calls = []
+
+    def spy(poly, p, r):
+        calls.append(poly.coeffs)
+        return honest(poly, p, r)
+
+    monkeypatch.setattr(padicorders, "places_from_order", spy)
+    monkeypatch.setattr(
+        padic, "_working_precision", lambda poly, p, r: v_p(abs(poly.coeffs[0]), p)
+    )
+    for (poly, p, r), places in zip(cases, want):
+        calls.clear()
+        assert places_tuple(poly, p, r) == places, poly
+        assert calls == [poly.coeffs]

@@ -13,7 +13,6 @@ from weilkit.weil import (
     NotWeilError,
     WeilClass,
     enumerate_weil,
-    is_weil,
     middle_coefficient_is_unit,
     slope_type,
     symmetric_polynomial,
