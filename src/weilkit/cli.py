@@ -95,19 +95,20 @@ def _record_payload(rec):
     return rec.as_dict()
 
 
+def _weil_class_of(text, ctx):
+    """The Weil class of one --poly value, or DomainRejection when it is not
+    one."""
+    poly = parse_poly(text)
+    try:
+        return validate_weil(poly, ctx)
+    except NotWeilError as e:
+        raise DomainRejection({"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason})
+
+
 def _weil_set_of(texts, ctx):
     """The WeilSet of the --poly values, or DomainRejection at the first one
     that is not a Weil class."""
-    classes = []
-    for text in texts:
-        poly = parse_poly(text)
-        try:
-            classes.append(validate_weil(poly, ctx))
-        except NotWeilError as e:
-            raise DomainRejection(
-                {"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason}
-            )
-    return weil_set(classes)
+    return weil_set([_weil_class_of(text, ctx) for text in texts])
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -150,18 +151,17 @@ def cmd_enumerate(args):
 
 def cmd_invariants(args):
     ctx = parse_context(args)
-    poly = parse_poly(args.poly)
-    try:
-        cls = validate_weil(poly, ctx)
-    except NotWeilError as e:
-        raise DomainRejection(
-            {"poly": _poly_list(poly), "q": ctx.q, "reason": e.reason}
-        )
+    cls = _weil_class_of(args.poly, ctx)
     try:
         rec = honda_tate_record(cls)
     except IrregularPlacesError as e:
         raise DomainRejection(
-            {"poly": _poly_list(poly), "q": ctx.q, "reason": "irregular", "detail": str(e)}
+            {
+                "poly": _poly_list(cls.polynomial),
+                "q": ctx.q,
+                "reason": "irregular",
+                "detail": str(e),
+            }
         )
     return _record_payload(rec)
 

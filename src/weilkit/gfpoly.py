@@ -4,7 +4,7 @@ Polynomials over F_p are plain lists of ints in [0, p), constant term
 first, normalized so the last entry is nonzero ([] is zero).  Factorization
 runs squarefree / distinct-degree / equal-degree splitting; the equal-degree
 step draws its splitting candidates from a fixed deterministic sequence so
-repeated runs factor identically.
+repeated runs factor identically, and `factor` memoizes its monic inputs.
 
 `gf_normal`, `gf_add`, `gf_sub`, `gf_mul` and `gf_divmod`/`gf_mod` hold for
 any modulus m, prime or not, when the divisor's leading coefficient is a
@@ -13,6 +13,8 @@ gcd, irreducibility and factorization routines need m prime.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def gf_trim(a):
@@ -270,18 +272,25 @@ def equal_degree_split(a, d, p):
 def factor(a, p):
     """Full factorization over F_p: returns (lc, [(monic_irreducible, mult)]).
 
-    Factors are sorted by (degree, coefficient tuple) for determinism.
+    Factors are sorted by (degree, coefficient tuple) for determinism.  The
+    factorization of the monic input is memoized: the same residual
+    polynomials recur across Newton polygons, so most calls are lookups.
+    The cache holds immutable tuples and each call gets a fresh list.
     """
     if not a:
         raise ValueError("zero polynomial")
-    lc = a[-1] % p
-    a = gf_monic(a, p)
+    return a[-1] % p, list(_factor_monic(tuple(gf_monic(a, p)), p))
+
+
+@lru_cache(maxsize=1024)
+def _factor_monic(a, p):
+    """The factors of a monic tuple, as a tuple in `factor`'s order."""
     if len(a) == 2:
-        return lc, [(tuple(a), 1)]
+        return ((a, 1),)
     found = []
     for sq, mult in squarefree_decomposition(a, p):
         for block, d in distinct_degree_split(sq, p):
             for irr in equal_degree_split(block, d, p):
                 found.append((tuple(irr), mult))
     found.sort(key=lambda t: (len(t[0]), t[0]))
-    return lc, found
+    return tuple(found)

@@ -4,20 +4,23 @@ splitting, and decomposition of an irreducible Weil-class polynomial into
 p-adic place data (ramification e, inertia f, root valuation, local
 invariant).
 
-Valuations are normalized with v(p) = 1 and kept as exact Fractions.  The
-place decomposition runs the classical Newton-polygon/residual-polynomial
-method once, at one working precision, with at most one refinement round
-(integral slope, repeated linear residual factor).  A class it cannot finish
-(precision ran out, or a segment is still irregular) goes to the exact
-p-maximal-order route of `padicorders`.  Either route's places must pass the
-degree and valuation-sum checks, or IrregularPlacesError is raised.
+Valuations are normalized with v(p) = 1.  The place decomposition runs the
+classical Newton-polygon/residual-polynomial method once, at one working
+precision, with at most one refinement round (integral slope, repeated
+linear residual factor).  A class it cannot finish (precision ran out, or a
+segment is still irregular) goes to the exact p-maximal-order route of
+`padicorders`.  Either route's places must pass the degree and
+valuation-sum checks, or IrregularPlacesError is raised.  Inside the
+decomposition a root valuation is an integer pair (num, den), and the
+checks and the sort cross-multiply; only the returned `PlaceAboveP`s hold
+it, and the invariant, as exact Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import gfpoly as gp
 from .checks import verify
@@ -27,11 +30,6 @@ from .tablering import TableRing
 
 class IrregularPlacesError(Exception):
     """Raised when place data fails the degree or valuation-sum check."""
-
-    def __init__(self, message, poly=None, p=None):
-        super().__init__(message)
-        self.poly = poly
-        self.p = p
 
 
 class _HandOver(Exception):
@@ -263,11 +261,10 @@ class PlaceAboveP:
         }
 
 
-def make_place(e, f, root_valuation, r):
-    val = Fraction(root_valuation)
-    # the invariant e f v / r mod 1, from integers
-    den = val.denominator * r
-    return PlaceAboveP(e, f, val, Fraction(val.numerator * e * f % den, den))
+def make_place(e, f, num, den, r):
+    """The place of e, f and root valuation num/den; its invariant
+    e f v / r mod 1 is computed in integers."""
+    return PlaceAboveP(e, f, Fraction(num, den), Fraction(num * e * f % (den * r), den * r))
 
 
 def _working_precision(poly, p, r):
@@ -309,8 +306,8 @@ def _residual(coeffs, p, seg_left, seg_right, a, b):
 
 
 def _segments_of(coeffs, p, cap):
-    """Hull segments [(a, b, length, left_pt, right_pt)] of a monic
-    coefficient list taken mod p^cap."""
+    """Hull segments [(a, b, left_pt, right_pt)], of root valuation a/b in
+    lowest terms, of a monic coefficient list taken mod p^cap."""
     pts = _poly_val(coeffs, p, cap)
     if not pts or pts[0][0] != 0:
         raise _HandOver("constant term lost at working precision")
@@ -324,12 +321,8 @@ def _segments_of(coeffs, p, cap):
     for left, right in zip(hull, hull[1:]):
         rise = left[1] - right[1]
         run = right[0] - left[0]
-        g = gcd(rise, run)
-        if rise == 0:
-            a, b = 0, 1
-        else:
-            a, b = rise // g, run // g
-        segs.append((a, b, run, left, right))
+        g = gcd(rise, run)  # run when rise is 0, so a flat segment is 0/1
+        segs.append((rise // g, run // g, left, right))
     return segs
 
 
@@ -365,42 +358,24 @@ def _scale_down(coeffs, p, a, cap):
     return out, c, cap - c
 
 
-def _analyze(coeffs, p, cap, offset, depth, max_val, out):
-    """Emit (e, f, valuation) triples for the roots of the monic coefficient
-    list `coeffs` (all of nonnegative valuation), shifted by `offset`.
-    Segments with offset + slope > max_val are skipped (the caller recovers
-    them by conjugation symmetry).  `depth` counts refinement rounds."""
+def _analyze(coeffs, p, cap, offset, out):
+    """Emit (e, f, (num, den)) triples, the root valuation being num/den,
+    for the roots of the monic coefficient list `coeffs` (all of nonnegative
+    valuation), shifted by the integer `offset`."""
     if len(coeffs) - 1 <= 0:
         return
-    segs = _segments_of(coeffs, p, cap)
     analysis = []
-    problems = False
-    for a, b, length, left, right in segs:
-        s = Fraction(a, b)
-        if offset + s > max_val:
-            continue
-        res = _residual(coeffs, p, left, right, a, b)
-        _, factors = gp.factor(res, p)
-        analysis.append((a, b, s, left, right, factors))
-        if any(m > 1 for _, m in factors):
-            problems = True
-    if not problems:
-        for a, b, s, left, right, factors in analysis:
-            for irr, m in factors:
-                verify(m == 1, "repeated residual factor in a separated segment")
-                out.append((b, len(irr) - 1, offset + s))
+    for a, b, left, right in _segments_of(coeffs, p, cap):
+        _, factors = gp.factor(_residual(coeffs, p, left, right, a, b), p)
+        analysis.append((a, b, left, factors))
+    if all(m == 1 for *_, factors in analysis for _, m in factors):
+        for a, b, _left, factors in analysis:
+            for irr, _m in factors:
+                out.append((b, len(irr) - 1, (offset * b + a, b)))
         return
-    if depth >= 1:
-        raise _HandOver("repeated residual factor after one refinement")
-    # peel at the minimal-valuation segment; it is always in `analysis`
-    # because the filter can only drop a suffix of the (decreasing) slopes
-    a, b, length, left, right = min(segs, key=lambda t: Fraction(t[0], t[1]))
-    s = Fraction(a, b)
-    seg_factors = None
-    for aa, bb, ss, l, _r, fs in analysis:
-        if (aa, bb, l) == (a, b, left):
-            seg_factors = fs
-    verify(seg_factors is not None, "minimal segment missing from analysis")
+    # peel at the minimal-valuation segment: valuations fall along the hull,
+    # so it is the last one
+    a, b, left, seg_factors = analysis[-1]
     if b != 1:
         raise _HandOver("repeated residual factor on a non-integral slope")
     scaled, _c, cap2 = _scale_down(coeffs, p, a, cap)
@@ -409,24 +384,20 @@ def _analyze(coeffs, p, cap, offset, depth, max_val, out):
     parts = []
     if i0 > 0:
         parts.append([0] * i0 + [1])  # y^{i0}: the steeper-slope block
-    pieces_meta = []
     for irr, m in seg_factors:
         piece = [1]
         for _ in range(m):
             piece = gp.gf_mul(piece, list(irr), p)
         parts.append(piece)
-        pieces_meta.append((irr, m))
     if len(parts) == 1:
         lifted = [list(scaled)]
     else:
         lifted = lift_factorization(scaled, parts, p, cap2)
-    idx = 0
     if i0 > 0:
-        idx = 1
-        _analyze(lifted[0], p, cap2, offset + a, depth, max_val, out)
-    for (irr, m), factor_poly in zip(pieces_meta, lifted[idx:]):
+        _analyze(lifted.pop(0), p, cap2, offset + a, out)
+    for (irr, m), factor_poly in zip(seg_factors, lifted):
         if m == 1:
-            out.append((1, len(irr) - 1, offset + a))
+            out.append((1, len(irr) - 1, (offset + a, 1)))
             continue
         if len(irr) - 1 > 1:
             raise _HandOver("repeated nonlinear residual factor")
@@ -438,27 +409,13 @@ def _analyze(coeffs, p, cap, offset, depth, max_val, out):
 
 def _analyze_refined(coeffs, p, cap, pinned_val, out):
     """Second-round analysis: slopes of `coeffs` only determine (e, f); the
-    root valuation of the original class is already pinned."""
-    segs = _segments_of(coeffs, p, cap)
-    for a, b, length, left, right in segs:
-        res = _residual(coeffs, p, left, right, a, b)
-        _, factors = gp.factor(res, p)
+    root valuation of the original class is already pinned to an integer."""
+    for a, b, left, right in _segments_of(coeffs, p, cap):
+        _, factors = gp.factor(_residual(coeffs, p, left, right, a, b), p)
         for irr, m in factors:
             if m > 1:
                 raise _HandOver("repeated residual factor after one refinement")
-            out.append((b, len(irr) - 1, pinned_val))
-
-
-def _has_conjugation_symmetry(poly, q):
-    """Does x^deg * P(q/x) equal +-q^(deg/2) * P(x)?  True for Weil classes,
-    where the root multiset is stable under pi -> q/pi."""
-    n = poly.degree
-    if n % 2:
-        return False
-    d = n // 2
-    lhs = [poly.coeffs[n - i] * q ** i for i in range(n + 1)]
-    rhs = [c * q ** d for c in poly.coeffs]
-    return lhs == rhs or lhs == [-c for c in rhs]
+            out.append((b, len(irr) - 1, (pinned_val, 1)))
 
 
 def decompose_places(poly, p, r):
@@ -472,51 +429,38 @@ def decompose_places(poly, p, r):
         raise ValueError("monic nonconstant polynomial required")
     if poly.coeffs[0] == 0:
         raise ValueError("remove zero roots first")
-    if poly.degree == 1:
-        val = Fraction(v_p(poly.coeffs[0], p))
-        places = [make_place(1, 1, val, r)]
-        _check_place_sums(places, poly, p)
-        return places
-
-    half = Fraction(r, 2)
-    mirror = _has_conjugation_symmetry(poly, p ** r)
-    max_val = half if mirror else Fraction(r * poly.degree)
-    cap = _working_precision(poly, p, r)
     triples = []
-    try:
-        _analyze(list(poly.coeffs), p, cap, Fraction(0), 0, max_val, triples)
-    except _HandOver:
-        # the order route finds every place, so there is nothing to mirror
-        from .padicorders import places_from_order
+    if poly.degree == 1:
+        triples.append((1, 1, (v_p(poly.coeffs[0], p), 1)))
+    else:
+        try:
+            _analyze(list(poly.coeffs), p, _working_precision(poly, p, r), 0, triples)
+        except _HandOver:
+            from .padicorders import places_from_order
 
-        triples = places_from_order(poly, p, r)
-        mirror = False
-
-    places = [make_place(e, f, val, r) for e, f, val in triples]
-    if mirror:
-        mirrored = [
-            make_place(pl.e, pl.f, r - pl.root_valuation, r)
-            for pl in places
-            if pl.root_valuation < half
-        ]
-        places.extend(mirrored)
-    _check_place_sums(places, poly, p)
-    return sorted(places, key=lambda pl: (pl.root_valuation, pl.f, pl.e))
+            triples = [
+                (e, f, (v.numerator, v.denominator)) for e, f, v in places_from_order(poly, p, r)
+            ]
+    # valuations over one common denominator: sums and order in integers
+    common = lcm(*(den for _e, _f, (_num, den) in triples))
+    _check_place_sums(triples, common, poly, p)
+    triples.sort(key=lambda t: (t[2][0] * (common // t[2][1]), t[1], t[0]))
+    return [make_place(e, f, num, den, r) for e, f, (num, den) in triples]
 
 
-def _check_place_sums(places, poly, p):
-    """Raise IrregularPlacesError unless the place degrees sum to deg P and
-    the degree-weighted root valuations to v_p(P(0)).  The test is explicit
-    rather than an assert so that it also runs under python -O."""
-    total_deg = sum(pl.degree for pl in places)
-    vsum = sum(pl.degree * pl.root_valuation for pl in places)
+def _check_place_sums(triples, common, poly, p):
+    """Raise IrregularPlacesError unless the degrees e f of the (e, f,
+    (num, den)) triples sum to deg P and the degree-weighted root valuations
+    to v_p(P(0)), counted in units of 1/common (every den divides common).
+    The test is explicit rather than an assert so that it also runs under
+    python -O."""
+    total_deg = sum(e * f for e, f, _val in triples)
+    vsum = sum(e * f * num * (common // den) for e, f, (num, den) in triples)
     expected = v_p(abs(poly.coeffs[0]), p)
     if total_deg != poly.degree:
         problem = "degrees sum to %d, expected %d" % (total_deg, poly.degree)
-    elif vsum != expected:
-        problem = "valuation sum %s, expected %s" % (vsum, expected)
+    elif vsum != expected * common:
+        problem = "valuation sum %s, expected %s" % (Fraction(vsum, common), expected)
     else:
         return
-    raise IrregularPlacesError(
-        "place data failed invariant checks: %s" % problem, poly=poly, p=p
-    )
+    raise IrregularPlacesError("place data failed invariant checks: %s" % problem)

@@ -129,3 +129,43 @@ def test_factor_determinism():
 def test_factor_zero_rejected():
     with pytest.raises(ValueError):
         gp.factor([], 7)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cached_factor_matches_uncached_core(p):
+    # every monic polynomial of degree <= 4, on a cold and on a warm cache
+    gp._factor_monic.cache_clear()
+    core = gp._factor_monic.__wrapped__
+    for repeat in range(2):
+        for d in range(5):
+            for code in range(p ** d):
+                poly = [code // p ** i % p for i in range(d)] + [1]
+                assert gp.factor(poly, p) == (1, list(core(tuple(poly), p))), (repeat, poly)
+    assert gp._factor_monic.cache_info().hits >= sum(p ** d for d in range(5))
+
+
+def test_factor_result_is_the_callers_own():
+    poly = gp.gf_mul([1, 1], [1, 0, 1], 3)
+    lc, factors = gp.factor(poly, 3)
+    want = list(factors)
+    factors.append(((2, 1), 7))
+    factors[0] = ((0, 1), 1)
+    assert gp.factor(poly, 3) == (lc, want)
+    assert gp.factor([2 * c for c in poly], 3) == (2, want)
+
+
+def test_residual_factorizations_repeat_across_the_grid():
+    # one pass of the place decomposition over every class of degree <= 4
+    # of the acceptance grid's fields: residual polynomials recur across
+    # classes, so the cache serves nearly all calls on the first pass
+    from weilkit.padic import decompose_places
+    from weilkit.weil import GlobalContext, enumerate_weil
+
+    classes = [
+        cls for q in (2, 3, 4, 9, 32) for cls in enumerate_weil(GlobalContext.from_q(q), 4)
+    ]
+    gp._factor_monic.cache_clear()
+    for cls in classes:
+        decompose_places(cls.polynomial, cls.context.p, cls.context.r)
+    info = gp._factor_monic.cache_info()
+    assert info.hits >= 0.95 * (info.hits + info.misses), info

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from weilkit import padic, padicorders
 from weilkit.hensel import lift_factorization
 from weilkit.intpoly import IntPolynomial, discriminant, is_squarefree
 from weilkit.padic import (
+    IrregularPlacesError,
     WittRingModel,
     decompose_places,
     make_place,
@@ -206,8 +208,6 @@ def test_places_inert_unramified_quartic():
 
 def test_places_precision_stability():
     """Raising the working precision never changes (e, f, val, inv)."""
-    from fractions import Fraction as Fr
-
     from weilkit.padic import _analyze
 
     for poly, p, r in [(P(9, 3, 1), 3, 2), (P(32, -2, 1), 2, 5), (P(4, 0, 1), 2, 2)]:
@@ -217,18 +217,36 @@ def test_places_precision_stability():
         results = []
         for cap in (k, k + 2, 2 * k):
             triples = []
-            _analyze(list(poly.coeffs), p, cap, Fr(0), 0, Fr(r, 2), triples)
+            _analyze(list(poly.coeffs), p, cap, 0, triples)
             results.append(sorted(triples))
         assert results[0] == results[1] == results[2]
 
 
 def test_make_place_invariant():
-    pl = make_place(1, 1, F(4), 5)
-    assert pl.invariant == F(4, 5)
-    pl = make_place(2, 1, F(1, 2), 1)
-    assert pl.invariant == 0
-    pl = make_place(1, 1, F(1), 2)
-    assert pl.invariant == F(1, 2)
+    pl = make_place(1, 1, 4, 1, 5)
+    assert (pl.root_valuation, pl.invariant) == (F(4), F(4, 5))
+    pl = make_place(2, 1, 1, 2, 1)
+    assert (pl.root_valuation, pl.invariant) == (F(1, 2), 0)
+    pl = make_place(1, 1, 1, 1, 2)
+    assert (pl.root_valuation, pl.invariant) == (F(1), F(1, 2))
+
+
+def _check_sums(triples, poly, p):
+    common = lcm(*(den for _e, _f, (_num, den) in triples))
+    padic._check_place_sums(triples, common, poly, p)
+
+
+def test_place_sums_in_integers():
+    sextic, quintic = P(27, 0, 0, 0, 0, 0, 1), P(4, 0, 0, 0, 0, 1)
+    # 3 roots of valuation 1/3 and 3 of 2/3; then 2 of 1/2 and 3 of 1/3
+    _check_sums([(3, 1, (1, 3)), (3, 1, (2, 3))], sextic, 3)
+    _check_sums([(2, 1, (1, 2)), (1, 3, (1, 3))], quintic, 2)
+    with pytest.raises(IrregularPlacesError, match="degrees sum to 5, expected 6$"):
+        _check_sums([(3, 1, (1, 3)), (2, 1, (1, 1))], sextic, 3)
+    with pytest.raises(IrregularPlacesError, match="valuation sum 4, expected 3$"):
+        _check_sums([(3, 1, (1, 3)), (3, 1, (1, 1))], sextic, 3)
+    with pytest.raises(IrregularPlacesError, match="valuation sum 5/2, expected 2$"):
+        _check_sums([(2, 1, (1, 2)), (3, 1, (1, 2))], quintic, 2)
 
 
 # -- the two place routes ----------------------------------------------------
