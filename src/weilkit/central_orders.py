@@ -6,18 +6,15 @@ F^d ... F, 1, V ... V^(d-1) in the even case n = 2d, and
 F^(d0) ... 1 ... V^(d0) in the odd case n = 2 d0 + 1 (even r with exactly one
 rational class).
 
-Each order is solved once, exactly and in integers.  The basis times a
-common denominator D gives integer rows W, and fraction-free Gauss-Jordan
-elimination (Bareiss, Math. Comp. 22, 1968; Cohen, GTM 138, 2.2) gives the
-integer inverse: X and e = +-det(W) with X W = e I (X = +-adj(W)).  A
-nonzero pivot at every step proves the embedding injective.  The
-coordinates of b_i b_j are the quotients of (W_i W_j mod P_w) X by D e, so
-the table is integral, i.e. the lattice is closed under multiplication,
-exactly when none of these divisions leaves a remainder.  The defining
-relations F V = q and the vanishing of the symmetric polynomial of w are
-then verified on the integer table, and indices are ratios of integer
-determinants.  Every check raises `VerificationError`, also under
-`python -O`.
+Each order is an `intmatrix.IntegerLattice`: the basis times a common
+denominator D gives integer rows W, solved once and exactly by fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968; Cohen, GTM 138,
+2.2); a nonzero pivot at every step proves the embedding injective.  The
+table is integral, i.e. the lattice is closed under multiplication, exactly
+when none of its exact divisions leaves a remainder.  The defining relations
+F V = q and the vanishing of the symmetric polynomial of w are then verified
+on the integer table, and indices are ratios of integer determinants.  Every
+check raises `VerificationError`, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -26,34 +23,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
 
 from .checks import verify
-from .intmatrix import IntegerMatrix, det, elementary_divisors, integer_inverse
+from .intmatrix import (
+    IntegerLattice,
+    IntegerMatrix,
+    det,
+    elementary_divisors,
+    mul_mod,
+    poly_mod,
+    rref_mod_p,
+)
 from .tablering import table_product
 from .weil import WeilSet, weil_set
-
-
-def _poly_mod(vec, poly):
-    """Reduce an integer coefficient vector modulo the monic poly."""
-    vec = list(vec)
-    cs = poly.coeffs
-    n = poly.degree
-    for top in range(len(vec) - 1, n - 1, -1):
-        c = vec[top]
-        if c:
-            for i in range(n):
-                vec[top - n + i] -= c * cs[i]
-    return vec[:n] + [0] * (n - len(vec))
-
-
-def _mul_mod(a, b, poly):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_mod(out, poly)
 
 
 def _integer_rows(vectors):
@@ -71,55 +53,24 @@ class CentralOrder:
     # integer 3-tensor: table[i][j] = coords of b_i b_j; derived from the
     # basis, with closure verified, when not given
     table: tuple = None
-    # (W, D, columns of X, e) for W = D * basis_vectors and X W = e I
-    _solve: tuple = field(init=False, repr=False, compare=False)
+    # the basis as integer rows W = D * basis_vectors over D, solved once
+    lattice: IntegerLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows, scale = _integer_rows(self.basis_vectors)
-        inverse, e = integer_inverse(rows)
-        object.__setattr__(self, "_solve", (rows, scale, tuple(zip(*inverse)), e))
+        lattice = IntegerLattice(*_integer_rows(self.basis_vectors))
+        object.__setattr__(self, "lattice", lattice)
         if self.table is None:
-            object.__setattr__(self, "table", self._closed_table())
-
-    def _closed_table(self):
-        """Coordinates of every product of two basis vectors W_i / D and
-        W_j / D.  Each must be integral: that is the closure check."""
-        rows, scale, _inv_cols, _e = self._solve
-        poly = self.weil_set.polynomial
-        n = len(rows)
-        cells = {}
-        for i in range(n):
-            for j in range(i, n):
-                cell = self._exact_coords(_mul_mod(rows[i], rows[j], poly), scale * scale)
-                verify(cell is not None, "order not multiplicatively closed")
-                cells[i, j] = cells[j, i] = tuple(cell)
-        return tuple(tuple(cells[i, j] for j in range(n)) for i in range(n))
+            object.__setattr__(self, "table", lattice.closed_table(self.weil_set.polynomial))
 
     @property
     def rank(self):
         return len(self.basis_labels)
 
-    def _exact_coords(self, vec, den):
-        """Order coordinates of vec / den for an integer power-basis vector
-        vec, or None when one of them is not an integer."""
-        _rows, scale, inv_cols, e = self._solve
-        m = den * e
-        out = []
-        for col in inv_cols:
-            c, rem = divmod(scale * sum(map(mul, vec, col)), m)
-            if rem:
-                return None
-            out.append(c)
-        return out
-
     def element_coords(self, vec):
         """Coordinates of a power-basis Fraction vector in the order basis."""
         (ints,), den = _integer_rows([[Fraction(c) for c in vec]])
-        _rows, scale, inv_cols, e = self._solve
-        return [
-            Fraction(scale * sum(map(mul, ints, col)), den * e)
-            for col in inv_cols
-        ]
+        m = den * self.lattice.e
+        return [Fraction(c, m) for c in self.lattice.scaled_coords(ints)]
 
     def multiply(self, a, b):
         """Product in order coordinates via the integer table."""
@@ -149,9 +100,9 @@ class CentralOrder:
         poly = self.weil_set.polynomial
         cs = poly.coeffs
         # c0 V = -q (a_1 + a_2 x + ... + x^(n-1)), as in build_order
-        f = self._exact_coords(_poly_mod([0, 1], poly), 1)
-        v = self._exact_coords([-self.weil_set.context.q * c for c in cs[1:]], cs[0])
-        one = self._exact_coords([1] + [0] * (poly.degree - 1), 1)
+        f = self.lattice.exact_coords(poly_mod([0, 1], poly))
+        v = self.lattice.exact_coords([-self.weil_set.context.q * c for c in cs[1:]], cs[0])
+        one = self.lattice.exact_coords([1] + [0] * (poly.degree - 1))
         verify(None not in (f, v, one), "F, V or 1 is not in the order")
         return f, v, one
 
@@ -180,7 +131,7 @@ def build_order(w):
     power = [1] + [0] * (n - 1)
     for k in range(1, (n - 1) // 2 + 1):
         labels.append("V^%d" % k if k > 1 else "V")
-        power = _mul_mod(power, u, poly)
+        power = mul_mod(power, u, poly)
         vectors.append(tuple(Fraction(c, c0 ** k) for c in power))
     order = CentralOrder(w, tuple(labels), tuple(vectors))
     _verify_relations(order)
@@ -232,8 +183,8 @@ def index_in(order, overorder_vectors):
     det_over = det(IntegerMatrix(rows))
     if det_over == 0:
         raise ValueError("singular basis matrix")
-    _rows, order_scale, _inv_cols, e = order._solve
-    index = Fraction(abs(e) * scale ** d, order_scale ** d * abs(det_over))
+    lattice = order.lattice
+    index = Fraction(abs(lattice.e) * scale ** d, lattice.den ** d * abs(det_over))
     if index.denominator != 1:
         raise ValueError("order is not contained in the overorder")
     return int(index)
@@ -242,11 +193,11 @@ def index_in(order, overorder_vectors):
 def _image_coords(order_small, order_big):
     """Coordinates in order_small of the basis of order_big reduced modulo
     the polynomial of order_small, one integer row per basis vector."""
-    rows, scale, _inv_cols, _e = order_big._solve
+    big = order_big.lattice
     poly = order_small.weil_set.polynomial
     out = []
-    for row in rows:
-        coords = order_small._exact_coords(_poly_mod(row, poly), scale)
+    for row in big.rows:
+        coords = order_small.lattice.exact_coords(poly_mod(row, poly), big.den)
         verify(coords is not None, "image outside the small order")
         out.append(coords)
     return out
@@ -323,7 +274,5 @@ def supersingular_point_test(order):
         e = [1 if j == i else 0 for j in range(d)]
         rows.append([c % p for c in order.multiply(f, e)])
         rows.append([c % p for c in order.multiply(v, e)])
-    from .intmatrix import rref_mod_p
-
     ech, piv = rref_mod_p(rows, p)
     return len(ech) == d, d - len(ech)

@@ -8,13 +8,18 @@ elementary divisors and kernels mod p^k) tracks both unimodular
 transforms.  Pivoting always selects a smallest-absolute-value nonzero
 entry, which keeps intermediate growth tame at the sizes this library
 works with.  `integer_inverse` is the one exact inverter: a
-fraction-free Gauss-Jordan solve (Bareiss 1968) shared by the central and the
-p-maximal orders.  A few mod-p and mod-p^k helpers used by the lattice and
-center computations live here as well; `rref_mod_p` is the one echelon form
-mod p.
+fraction-free Gauss-Jordan solve (Bareiss 1968).  On it, `IntegerLattice`,
+the one integer type of the central and the p-maximal orders, finds
+coordinates and multiplication tables by exact division; `mul_mod` is the
+one product modulo a monic over Z.  A few mod-p and mod-p^k helpers live
+here as well; `rref_mod_p` is the one echelon form mod p.
 """
 
 from __future__ import annotations
+
+from operator import mul
+
+from .checks import verify
 
 
 class IntegerMatrix:
@@ -117,6 +122,77 @@ def integer_inverse(rows):
         prev = pk
     # [W | I] is now [e I | e W^-1]
     return [row[n:] for row in a], prev
+
+
+def poly_mod(vec, poly):
+    """Reduce an integer coefficient vector modulo the monic poly."""
+    vec = list(vec)
+    cs = poly.coeffs
+    n = poly.degree
+    for top in range(len(vec) - 1, n - 1, -1):
+        c = vec[top]
+        if c:
+            for i in range(n):
+                vec[top - n + i] -= c * cs[i]
+    return vec[:n] + [0] * (n - len(vec))
+
+
+def mul_mod(a, b, poly):
+    """Product of two coefficient vectors modulo the monic poly."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return poly_mod(out, poly)
+
+
+class IntegerLattice:
+    """A full-rank lattice in Q^n with basis W_i / D: integer rows W over one
+    denominator D, solved once by `integer_inverse` (X W = e I).
+
+    The coordinates c of a vector v / m satisfy c W / D = v / m, so
+    c = D (v X) / (m e): each is one exact integer division, and a nonzero
+    remainder proves that v / m lies outside the lattice.  For a lattice in
+    Q[x]/(P), P monic, the coordinates of b_i b_j = (W_i W_j mod P) / D^2
+    are its multiplication table, integral exactly when the lattice is
+    closed under multiplication (Cohen, GTM 138, 6.1)."""
+
+    __slots__ = ("rows", "den", "e", "_cols")
+
+    def __init__(self, rows, den):
+        self.rows = tuple(tuple(r) for r in rows)
+        self.den = den
+        inverse, self.e = integer_inverse(self.rows)
+        self._cols = tuple(zip(*inverse))
+
+    def scaled_coords(self, vec):
+        """D (vec X): the coordinates of vec / m times m e."""
+        return [self.den * sum(map(mul, vec, col)) for col in self._cols]
+
+    def exact_coords(self, vec, den=1):
+        """Integer coordinates of vec / den for an integer vector vec, or
+        None when one of them is not an integer."""
+        m, out = den * self.e, []
+        for col in self._cols:
+            c, rem = divmod(self.den * sum(map(mul, vec, col)), m)
+            if rem:
+                return None
+            out.append(c)
+        return out
+
+    def closed_table(self, poly):
+        """table[i][j] = coordinates of b_i b_j in Q[x]/(poly).  Each must be
+        integral: that is the closure check."""
+        rows, n = self.rows, len(self.rows)
+        den = self.den * self.den
+        cells = {}
+        for i in range(n):
+            for j in range(i, n):
+                cell = self.exact_coords(mul_mod(rows[i], rows[j], poly), den)
+                verify(cell is not None, "order not multiplicatively closed")
+                cells[i, j] = cells[j, i] = tuple(cell)
+        return tuple(tuple(cells[i, j] for j in range(n)) for i in range(n))
 
 
 def smith_normal_form(m):

@@ -3,11 +3,13 @@
 Fallback route for the classes the one-round Newton-polygon pipeline cannot
 finish (its working precision ran out, or a segment is still irregular):
 compute a p-maximal order in Q[x]/(P) by the multiplier-ring (round-2)
-iteration, split its reduction mod p into local components through
-Frobenius kernels plus idempotent lifting, and read off (e, f, v(pi)) per
-component.  Everything is exact integer/rational linear
-algebra; the caller re-verifies the results against the degree and
-valuation-sum invariants.  The mod-p and mod-p^N arithmetic runs in
+iteration (Cohen, GTM 138, 6.1), split its reduction mod p into local
+components through Frobenius kernels plus idempotent lifting, and read off
+(e, f, v(pi)) per component.  Each order is an `intmatrix.IntegerLattice`,
+whose multiplication table and coordinates of 1 and x come by exact integer
+division; the p-radical and the multiplier ring use `Fraction` arithmetic.
+The caller re-verifies the results against the degree and valuation-sum
+invariants.  The mod-p and mod-p^N arithmetic runs in
 `tablering.TableRing` on the order's integer multiplication table, and every
 check raises `VerificationError`, also under `python -O`.
 """
@@ -19,14 +21,21 @@ from math import gcd
 
 from .checks import VerificationError, verify
 from .intmatrix import (
+    IntegerLattice,
     IntegerMatrix,
     det,
     hermite_rows,
     integer_inverse,
     nullspace_mod_p,
+    poly_mod,
     rref_mod_p,
 )
 from .tablering import TableRing, lift_idempotent, radical, split_idempotents
+
+# p_maximal_order gives up after this many rounds.  Each enlargement
+# multiplies the index over Z[x] by a power of p, and its square divides
+# disc(P), so a class needs at most v_p(disc(P)) / 2 + 1.
+MAX_ROUNDS = 64
 
 
 class _Field:
@@ -92,15 +101,12 @@ def _hnf_rational_lattice(rows, d):
 
 class Order:
     """A full-rank ring lattice in Q[x]/(P): HNF integer rows over a common
-    denominator."""
+    denominator, held as an `IntegerLattice`."""
 
     def __init__(self, field, int_rows, den):
         self.field = field
-        self.rows = [list(r) for r in int_rows]
-        self.den = den
+        self.lattice = IntegerLattice(int_rows, den)
         self.d = field.d
-        self._inv = None
-        self._table = None
 
     @classmethod
     def equation_order(cls, field):
@@ -108,64 +114,32 @@ class Order:
         return cls(field, rows, 1)
 
     def basis_fractions(self):
-        return [[Fraction(c, self.den) for c in row] for row in self.rows]
-
-    def coords(self, vec):
-        """Coordinates of a power-basis Fraction vector in the order basis."""
-        if self._inv is None:
-            self._inv = _inverse_of_lattice(self.rows, self.den)
-        inv = self._inv
-        # vec * inv (row vector times matrix): basis rows B, solving x B = vec
-        return [
-            sum(Fraction(vec[j]) * inv[j][i] for j in range(self.d))
-            for i in range(self.d)
-        ]
+        den = self.lattice.den
+        return [[Fraction(c, den) for c in row] for row in self.lattice.rows]
 
     def multiplication_table(self):
         """table[i][j] = integer coordinates of b_i b_j in the order basis."""
-        if self._table is not None:
-            return self._table
-        basis = self.basis_fractions()
-        table = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.d):
-                coords = self.coords(self.field.mul(basis[i], basis[j]))
-                ints = []
-                for c in coords:
-                    verify(c.denominator == 1, "not multiplicatively closed")
-                    ints.append(int(c))
-                row.append(ints)
-            table.append(row)
-        self._table = table
-        return table
+        return self.lattice.closed_table(self.field.poly)
 
     def one_coords(self):
-        out = []
-        for c in self.coords([Fraction(1)] + [Fraction(0)] * (self.d - 1)):
-            verify(c.denominator == 1, "1 outside the order")
-            out.append(int(c))
+        out = self.lattice.exact_coords([1] + [0] * (self.d - 1))
+        verify(out is not None, "1 outside the order")
         return out
 
     def x_coords(self):
-        vec = [Fraction(0)] * self.d
-        if self.d > 1:
-            vec[1] = Fraction(1)
-        else:
-            vec[0] = Fraction(-self.field.poly.coeffs[0])
-        out = []
-        for c in self.coords(vec):
-            verify(c.denominator == 1, "x outside the order")
-            out.append(int(c))
+        out = self.lattice.exact_coords(poly_mod([0, 1], self.field.poly))
+        verify(out is not None, "x outside the order")
         return out
 
     def same_lattice(self, other):
-        return self.den == other.den and self.rows == other.rows
+        a, b = self.lattice, other.lattice
+        return a.den == b.den and a.rows == b.rows
 
 
-def p_radical_lattice(order, p):
-    """The p-radical ideal of the order: (rows, den) sublattice."""
-    ring = TableRing(order.multiplication_table(), order.one_coords(), p)
+def p_radical_lattice(order, ring):
+    """The p-radical ideal of the order, from its ring mod p: (rows, den)
+    sublattice."""
+    p = ring.p
     basis = order.basis_fractions()
     d = order.d
     rows = []
@@ -218,22 +192,21 @@ def multiplier_ring(order, ideal_rows, ideal_den, p):
     return Order(field, int_rows, den)
 
 
-def p_maximal_order(poly, p, max_rounds=64):
-    """A p-maximal order of Q[x]/(poly), by multiplier-ring iteration."""
-    field = _Field(poly)
-    order = Order.equation_order(field)
-    for _ in range(max_rounds):
-        rad_rows, rad_den = p_radical_lattice(order, p)
+def p_maximal_order(poly, p):
+    """A p-maximal order of Q[x]/(poly), by multiplier-ring iteration, with
+    its ring mod p, whose radical the last round has computed."""
+    order = Order.equation_order(_Field(poly))
+    for _ in range(MAX_ROUNDS):
+        ring = TableRing(order.multiplication_table(), order.one_coords(), p)
+        rad_rows, rad_den = p_radical_lattice(order, ring)
         bigger = multiplier_ring(order, rad_rows, rad_den, p)
         if bigger.same_lattice(order):
-            return order
+            return order, ring
         order = bigger
     raise VerificationError("p-maximalization did not stabilize")
 
 
 # -- assembling place data ---------------------------------------------------
-
-
 
 
 def _component_valuation(ring, x_coords, e, dim_local):
@@ -258,9 +231,8 @@ def places_from_order(poly, p, r):
     The component eO/peO of a primitive idempotent e has dimension e f, and
     its reduction modulo the nilradical J is the residue field, of dimension
     f = rank(J + eA) - rank(J)."""
-    order = p_maximal_order(poly, p)
-    table, one, d = order.multiplication_table(), order.one_coords(), order.d
-    ring = TableRing(table, one, p)
+    order, ring = p_maximal_order(poly, p)
+    d = order.d
     idems = split_idempotents(ring)
     rest = ring.one
     for e in idems:
@@ -271,7 +243,7 @@ def places_from_order(poly, p, r):
             verify(not any(ring.mul(idems[i], idems[j])), "idempotents not orthogonal")
 
     rad = radical(ring)
-    ring_n = TableRing(table, one, p, 2 * r * d + 8)
+    ring_n = TableRing(ring.table, order.one_coords(), p, 2 * r * d + 8)
     x_coords = order.x_coords()
     out = []
     for e in idems:
