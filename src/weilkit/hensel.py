@@ -1,47 +1,46 @@
 """Hensel lifting of coprime factorizations from mod p to mod p^k.
 
 All polynomials here are integer coefficient lists, constant term first,
-with monic inputs.  Lifting is linear (one p-digit per round), which is
-plenty fast at the precisions this library uses.  Arithmetic mod p^k is
+with monic inputs.  Lifting is quadratic: each round squares the modulus,
+so p^k takes about log2 k rounds, and every lift is checked: f = g h mod
+p^k, by a division that leaves no remainder.  A monic coprime lift is
+unique, so the result is the one a linear (one p-digit per round) lifter
+gives.  Arithmetic mod p^k is
 gfpoly's, which holds for any modulus when divisors are monic.
 """
 
 from __future__ import annotations
 
 from . import gfpoly as gp
+from .checks import verify
 
 
 def lift_pair(f, g0, h0, p, k):
     """Lift f = g0*h0 (mod p), gcd(g0, h0) = 1, to f = g*h (mod p^k).
 
     f, g0, h0 monic; returns (g, h) monic with g = g0, h = h0 (mod p).
+    Each round squares the modulus m, capped at p^k (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 15.4): dividing f by g gives f = g h + e with
+    e = 0 (mod m), and g gains t e mod g, where t is the inverse of h mod g,
+    carried to precision m by one Newton step t <- t (2 - t h) mod g (the
+    Bezout t is exact mod p in the first round).  The last division is the
+    check: it must leave no remainder mod p^k.
     """
-    g0 = gp.gf_normal(list(g0), p)
-    h0 = gp.gf_normal(list(h0), p)
-    if len(gp.gf_gcd(g0, h0, p)) - 1 != 0:
-        raise ValueError("factors not coprime mod p")
-    # Bezout: s*g0 + t*h0 = 1 mod p
-    s, t = _xgcd_poly(g0, h0, p)
-    g, h = list(g0), list(h0)
-    modulus = p
-    while modulus < p ** k:
-        modulus *= p
-        e = gp.gf_sub(f, gp.gf_mul(g, h, modulus), modulus)
-        # g += e*t mod g ; h += e*s mod h   (all mod modulus)
-        dg = gp.gf_mod(gp.gf_mul(e, t, modulus), g, modulus)
-        dh = gp.gf_mod(gp.gf_mul(e, s, modulus), h, modulus)
-        g = _add_keep_monic(g, dg, modulus, len(g0) - 1)
-        h = _add_keep_monic(h, dh, modulus, len(h0) - 1)
+    g = gp.gf_normal(g0, p)
+    _s, t = _xgcd_poly(g, gp.gf_normal(h0, p), p)
     q = p ** k
-    return gp.gf_normal(g, q), gp.gf_normal(h, q)
-
-
-def _add_keep_monic(a, d, m, deg):
-    n = max(len(a), len(d), deg + 1)
-    out = [((a[i] if i < len(a) else 0) + (d[i] if i < len(d) else 0)) % m for i in range(n)]
-    out = out[: deg + 1]
-    out[deg] = 1
-    return out
+    m = p
+    while m < q:
+        big = min(m * m, q)
+        h, e = gp.gf_divmod(f, g, big)
+        if m > p:
+            th = gp.gf_mod(gp.gf_mul(t, h, m), g, m)
+            t = gp.gf_mod(gp.gf_mul(t, gp.gf_sub([2], th, m), m), g, m)
+        g = gp.gf_add(g, gp.gf_mod(gp.gf_mul(t, e, big), g, big), big)
+        m = big
+    h, e = gp.gf_divmod(f, g, q)
+    verify(not e, "Hensel lift does not divide f")
+    return g, h
 
 
 def _xgcd_poly(a, b, p):
@@ -55,7 +54,7 @@ def _xgcd_poly(a, b, p):
         s0, s1 = s1, gp.gf_sub(s0, gp.gf_mul(q, s1, p), p)
         t0, t1 = t1, gp.gf_sub(t0, gp.gf_mul(q, t1, p), p)
     if len(r0) != 1:
-        raise ValueError("inputs not coprime")
+        raise ValueError("factors not coprime mod p")
     inv = pow(r0[0], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 

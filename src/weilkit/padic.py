@@ -7,19 +7,23 @@ invariant).
 Valuations are normalized with v(p) = 1.  The place decomposition runs the
 classical Newton-polygon/residual-polynomial method once, at one working
 precision, with at most one refinement round (integral slope, repeated
-linear residual factor).  A class it cannot finish (precision ran out, or a
-segment is still irregular) goes to the exact p-maximal-order route of
-`padicorders`.  Either route's places must pass the degree and
-valuation-sum checks, or IrregularPlacesError is raised.  Inside the
-decomposition a root valuation is an integer pair (num, den), and the
-checks and the sort cross-multiply; only the returned `PlaceAboveP`s hold
-it, and the invariant, as exact Fractions.
+linear residual factor, split off by quadratic Hensel lifting).  Each
+coefficient's valuation and unit digit are read once per polynomial, and
+the hull, the residual polynomials and the scaling all use them.  A class
+it cannot finish (precision ran out, or a segment is still irregular) goes
+to the exact p-maximal-order route of `padicorders`.  Either route's places
+must pass the degree and valuation-sum checks, or IrregularPlacesError is
+raised.  Inside the decomposition a root valuation is an integer pair
+(num, den), and the checks and the sort cross-multiply; only the returned
+`PlaceAboveP`s hold it, and the invariant, as exact Fractions, built once
+per distinct place and shared (they are frozen).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from . import gfpoly as gp
@@ -261,54 +265,56 @@ class PlaceAboveP:
         }
 
 
+@lru_cache(maxsize=1024)
 def make_place(e, f, num, den, r):
     """The place of e, f and root valuation num/den; its invariant
-    e f v / r mod 1 is computed in integers."""
+    e f v / r mod 1 is computed in integers.  Places are interned: a grid
+    pass asks for a few dozen distinct ones thousands of times."""
     return PlaceAboveP(e, f, Fraction(num, den), Fraction(num * e * f % (den * r), den * r))
 
 
-def _working_precision(poly, p, r):
-    """Cheap cap with no discriminant: every polygon/residual conclusion is
-    precision-checked, and a class that outruns it goes to the order route."""
-    return 2 * r * poly.degree + v_p(abs(poly.coeffs[0]), p) + 6
+def _working_precision(degree, v0, r):
+    """Cheap cap with no discriminant, from the degree and v0 = v_p(P(0)):
+    every polygon/residual conclusion is precision-checked, and a class that
+    outruns it goes to the order route."""
+    return 2 * r * degree + v0 + 6
 
 
 def _poly_val(coeffs, p, cap):
-    """(index, valuation) points of a mod-p^cap coefficient list; entries
-    that vanish mod p^cap are treated as +infinity (omitted)."""
-    pts = []
+    """{index: (valuation, unit digit)} of a mod-p^cap coefficient list, the
+    unit digit of c being c / p^v(c) mod p; entries that vanish mod p^cap
+    are treated as +infinity (omitted)."""
+    digits = {}
     mod = p ** cap
     for i, c in enumerate(coeffs):
         c %= mod
         if c:
-            pts.append((i, v_p(c, p)))
-    return pts
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            digits[i] = (v, c % p)
+    return digits
 
 
-def _residual(coeffs, p, seg_left, seg_right, a, b):
+def _residual(digits, seg_left, seg_right, a, b):
     """Residual polynomial of the segment from seg_left to seg_right with
-    slope -a/b, over F_p (constant first)."""
+    slope -a/b, over F_p (constant first): the unit digits of the points on
+    the segment (no point lies below it)."""
     (i0, v0), (i1, _v1) = seg_left, seg_right
     out = []
     for j in range((i1 - i0) // b + 1):
-        idx = i0 + j * b
-        target = v0 - j * a
-        c = coeffs[idx] if idx < len(coeffs) else 0
-        if c == 0:
-            out.append(0)
-            continue
-        v = v_p(c, p)
-        if v > target:
-            out.append(0)
-        else:
-            out.append((c // p ** target) % p)
+        v, u = digits.get(i0 + j * b, (None, 0))
+        out.append(u if v == v0 - j * a else 0)
     return gp.gf_trim(out)
 
 
 def _segments_of(coeffs, p, cap):
-    """Hull segments [(a, b, left_pt, right_pt)], of root valuation a/b in
-    lowest terms, of a monic coefficient list taken mod p^cap."""
-    pts = _poly_val(coeffs, p, cap)
+    """The {index: (valuation, unit digit)} map of a monic coefficient list
+    taken mod p^cap, and its hull segments [(a, b, left_pt, right_pt)] of
+    root valuation a/b in lowest terms."""
+    digits = _poly_val(coeffs, p, cap)
+    pts = [(i, v) for i, (v, _u) in digits.items()]
     if not pts or pts[0][0] != 0:
         raise _HandOver("constant term lost at working precision")
     hull = _lower_hull(pts)
@@ -323,7 +329,7 @@ def _segments_of(coeffs, p, cap):
         run = right[0] - left[0]
         g = gcd(rise, run)  # run when rise is 0, so a flat segment is 0/1
         segs.append((rise // g, run // g, left, right))
-    return segs
+    return digits, segs
 
 
 def _shift_poly(coeffs, c, mod):
@@ -340,13 +346,11 @@ def _shift_poly(coeffs, c, mod):
     return out
 
 
-def _scale_down(coeffs, p, a, cap):
-    """G(p^a y) / p^c with c chosen minimal; returns (scaled, c, new_cap)."""
+def _scale_down(coeffs, digits, p, a, cap):
+    """G(p^a y) / p^c with c chosen minimal, `digits` being G's
+    `_poly_val`; returns (scaled, c, new_cap)."""
     mod = p ** cap
-    vals = [
-        v_p(coef % mod, p) + a * j for j, coef in enumerate(coeffs) if coef % mod
-    ]
-    c = min(vals)
+    c = min(v + a * j for j, (v, _u) in digits.items())
     if cap <= c:
         raise _HandOver("scaling exhausted precision")
     mod_out = p ** (cap - c)
@@ -365,8 +369,9 @@ def _analyze(coeffs, p, cap, offset, out):
     if len(coeffs) - 1 <= 0:
         return
     analysis = []
-    for a, b, left, right in _segments_of(coeffs, p, cap):
-        _, factors = gp.factor(_residual(coeffs, p, left, right, a, b), p)
+    digits, segs = _segments_of(coeffs, p, cap)
+    for a, b, left, right in segs:
+        _, factors = gp.factor(_residual(digits, left, right, a, b), p)
         analysis.append((a, b, left, factors))
     if all(m == 1 for *_, factors in analysis for _, m in factors):
         for a, b, _left, factors in analysis:
@@ -378,7 +383,7 @@ def _analyze(coeffs, p, cap, offset, out):
     a, b, left, seg_factors = analysis[-1]
     if b != 1:
         raise _HandOver("repeated residual factor on a non-integral slope")
-    scaled, _c, cap2 = _scale_down(coeffs, p, a, cap)
+    scaled, _c, cap2 = _scale_down(coeffs, digits, p, a, cap)
     # reduction mod p of scaled = y^{i0} * residual(y)
     i0 = left[0]
     parts = []
@@ -410,8 +415,9 @@ def _analyze(coeffs, p, cap, offset, out):
 def _analyze_refined(coeffs, p, cap, pinned_val, out):
     """Second-round analysis: slopes of `coeffs` only determine (e, f); the
     root valuation of the original class is already pinned to an integer."""
-    for a, b, left, right in _segments_of(coeffs, p, cap):
-        _, factors = gp.factor(_residual(coeffs, p, left, right, a, b), p)
+    digits, segs = _segments_of(coeffs, p, cap)
+    for a, b, left, right in segs:
+        _, factors = gp.factor(_residual(digits, left, right, a, b), p)
         for irr, m in factors:
             if m > 1:
                 raise _HandOver("repeated residual factor after one refinement")
@@ -429,12 +435,13 @@ def decompose_places(poly, p, r):
         raise ValueError("monic nonconstant polynomial required")
     if poly.coeffs[0] == 0:
         raise ValueError("remove zero roots first")
+    v0 = v_p(poly.coeffs[0], p)
     triples = []
     if poly.degree == 1:
-        triples.append((1, 1, (v_p(poly.coeffs[0], p), 1)))
+        triples.append((1, 1, (v0, 1)))
     else:
         try:
-            _analyze(list(poly.coeffs), p, _working_precision(poly, p, r), 0, triples)
+            _analyze(list(poly.coeffs), p, _working_precision(poly.degree, v0, r), 0, triples)
         except _HandOver:
             from .padicorders import places_from_order
 
@@ -443,22 +450,21 @@ def decompose_places(poly, p, r):
             ]
     # valuations over one common denominator: sums and order in integers
     common = lcm(*(den for _e, _f, (_num, den) in triples))
-    _check_place_sums(triples, common, poly, p)
+    _check_place_sums(triples, common, poly.degree, v0)
     triples.sort(key=lambda t: (t[2][0] * (common // t[2][1]), t[1], t[0]))
     return [make_place(e, f, num, den, r) for e, f, (num, den) in triples]
 
 
-def _check_place_sums(triples, common, poly, p):
+def _check_place_sums(triples, common, degree, expected):
     """Raise IrregularPlacesError unless the degrees e f of the (e, f,
-    (num, den)) triples sum to deg P and the degree-weighted root valuations
-    to v_p(P(0)), counted in units of 1/common (every den divides common).
-    The test is explicit rather than an assert so that it also runs under
-    python -O."""
+    (num, den)) triples sum to `degree` and the degree-weighted root
+    valuations to `expected` = v_p(P(0)), counted in units of 1/common
+    (every den divides common).  The test is explicit rather than an assert
+    so that it also runs under python -O."""
     total_deg = sum(e * f for e, f, _val in triples)
     vsum = sum(e * f * num * (common // den) for e, f, (num, den) in triples)
-    expected = v_p(abs(poly.coeffs[0]), p)
-    if total_deg != poly.degree:
-        problem = "degrees sum to %d, expected %d" % (total_deg, poly.degree)
+    if total_deg != degree:
+        problem = "degrees sum to %d, expected %d" % (total_deg, degree)
     elif vsum != expected * common:
         problem = "valuation sum %s, expected %s" % (Fraction(vsum, common), expected)
     else:

@@ -9,6 +9,7 @@ from weilkit.hensel import lift_factorization
 from weilkit.intpoly import IntPolynomial, discriminant, is_squarefree
 from weilkit.padic import (
     IrregularPlacesError,
+    PlaceAboveP,
     WittRingModel,
     decompose_places,
     make_place,
@@ -231,9 +232,28 @@ def test_make_place_invariant():
     assert (pl.root_valuation, pl.invariant) == (F(1), F(1, 2))
 
 
+def test_interned_places_equal_fresh_ones():
+    """make_place hands out shared instances from a bounded cache; each must
+    equal a place built afresh, with the invariant e f v / r mod 1 taken in
+    Fractions, on every class of degree <= 4 at q = 2, 3, 4 and 9."""
+    from weilkit.weil import GlobalContext, enumerate_weil
+
+    for q in (2, 3, 4, 9):
+        ctx = GlobalContext.from_q(q)
+        for cls in enumerate_weil(ctx, 4):
+            for pl in decompose_places(cls.polynomial, ctx.p, ctx.r):
+                v = pl.root_valuation
+                inv = pl.e * pl.f * v / ctx.r % 1
+                fresh = PlaceAboveP(pl.e, pl.f, F(v.numerator, v.denominator), inv)
+                assert pl == fresh, (q, cls.polynomial.coeffs)
+                assert make_place(pl.e, pl.f, v.numerator, v.denominator, ctx.r) == fresh
+    info = make_place.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def _check_sums(triples, poly, p):
     common = lcm(*(den for _e, _f, (_num, den) in triples))
-    padic._check_place_sums(triples, common, poly, p)
+    padic._check_place_sums(triples, common, poly.degree, v_p(poly.coeffs[0], p))
 
 
 def test_place_sums_in_integers():
@@ -341,9 +361,7 @@ def test_out_of_precision_class_goes_to_the_order_route(monkeypatch):
         return honest(poly, p, r)
 
     monkeypatch.setattr(padicorders, "places_from_order", spy)
-    monkeypatch.setattr(
-        padic, "_working_precision", lambda poly, p, r: v_p(abs(poly.coeffs[0]), p)
-    )
+    monkeypatch.setattr(padic, "_working_precision", lambda degree, v0, r: v0)
     for (poly, p, r), places in zip(cases, want):
         calls.clear()
         assert places_tuple(poly, p, r) == places, poly
