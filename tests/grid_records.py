@@ -15,7 +15,10 @@ every class and prints:
 - the hand-over count: classes whose Newton route could not finish and
   went to `padicorders.places_from_order`;
 - the wall time of the records of the Newton-route classes and of the
-  order-route classes.
+  order-route classes;
+- the hits and misses of the Newton route's memoized first round
+  (`padic._first_round.cache_info()`): its key is a polynomial's
+  valuation-digit map, and the grid has few distinct ones.
 
 Expected output at every commit since the one hand-over landed: sha256
 e2979414aba4890fc8a20551ef6ed2ad4748d6f9501d90e8947124568d454a46 and 417
@@ -30,7 +33,7 @@ import json
 import sys
 from time import perf_counter
 
-from weilkit import padicorders
+from weilkit import padic, padicorders
 from weilkit.hondatate import honda_tate_record
 from weilkit.weil import GlobalContext, enumerate_weil
 
@@ -69,6 +72,8 @@ def main():
     print("hand-overs  %d" % len(handed_over))
     print("newton_s    %.2f" % times["newton"])
     print("order_s     %.2f" % times["order"])
+    info = padic._first_round.cache_info()
+    print("first_round hits %d misses %d (maxsize %d)" % (info.hits, info.misses, info.maxsize))
     return 0
 
 

@@ -15,6 +15,49 @@ def test_basic_ops():
     assert gp.gf_add(gp.gf_mul(q, [2, 1], p), r, p) == [1, 0, 1]
 
 
+def general_divmod(a, b, p):
+    """gf_divmod before its monic shortcut, kept verbatim: it inverts the
+    leading coefficient of every divisor and trims the dividend each step."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and a:
+        c = (a[-1] * inv) % p
+        shift = len(a) - 1 - db
+        q[shift] = c
+        for i in range(len(b)):
+            a[shift + i] = (a[shift + i] - c * b[i]) % p
+        gp.gf_trim(a)
+    return gp.gf_trim(q), a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_divmod_matches_general_path(p):
+    # seeded dividends and divisors mod p^k, monic and with another unit
+    # leading coefficient; dividends reduced mod p^k give the same quotient
+    # and remainder, and dividends reduced only mod p^(k+2) (as Hensel
+    # lifting passes them) the same quotient and remainder mod p^k
+    rng = random.Random(p)
+    for k in (1, 2, 3, 5, 8, 13):
+        m = p ** k
+        for _ in range(150):
+            lead = 1 if rng.random() < 0.7 else rng.randrange(1, p) + p * rng.randrange(p ** (k - 1))
+            b = [rng.randrange(m) for _ in range(rng.randint(0, 4))] + [lead]
+            a = gp.gf_trim([rng.randrange(m) for _ in range(rng.randint(0, 9))])
+            want = general_divmod(a, b, m)
+            assert gp.gf_divmod(a, b, m) == want, (a, b, m)
+            q, r = want
+            assert gp.gf_add(gp.gf_mul(q, b, m), r, m) == a and len(r) < len(b)
+            raw = gp.gf_trim([c + m * rng.randrange(p * p) for c in a])
+            got, want = gp.gf_divmod(raw, b, m), general_divmod(raw, b, m)
+            assert got[0] == want[0] and gp.gf_normal(got[1], m) == gp.gf_normal(want[1], m)
+    with pytest.raises(ZeroDivisionError):
+        gp.gf_divmod([1, 1], [], p)
+
+
 def test_gcd():
     p = 7
     a = gp.gf_mul([1, 1], [2, 1], p)

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from weilkit import gfpoly as gp
 from weilkit import padic, padicorders
 from weilkit.hensel import lift_factorization
 from weilkit.intpoly import IntPolynomial, discriminant, is_squarefree
@@ -249,6 +250,103 @@ def test_interned_places_equal_fresh_ones():
                 assert make_place(pl.e, pl.f, v.numerator, v.denominator, ctx.r) == fresh
     info = make_place.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def uncached_first_round(coeffs, p, cap):
+    """The Newton route's first round as it ran before it was memoized, with
+    nothing shared: valuations and unit digits of the coefficients mod
+    p^cap, the lower hull, each segment's residual polynomial and its
+    factorization by gfpoly's uncached core; "hand-over" where the route
+    gives the class up."""
+    mod = p ** cap
+    units = {}
+    for i, c in enumerate(coeffs):
+        if c % mod:
+            v = v_p(c % mod, p)
+            units[i, v] = c % mod // p ** v % p
+    pts = sorted(units)
+    if not pts or pts[0][0] != 0:
+        return "hand-over"
+    hull = padic._lower_hull(pts)
+    if hull[-1][0] != len(coeffs) - 1 or any(v >= cap - 1 for _, v in hull):
+        return "hand-over"
+    out = []
+    for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
+        val = F(v0 - v1, i1 - i0)
+        a, b = val.numerator, val.denominator
+        res = [units.get((i0 + j * b, v0 - j * a), 0) for j in range((i1 - i0) // b + 1)]
+        factors = gp._factor_monic.__wrapped__(tuple(gp.gf_monic(res, p)), p)
+        out.append((a, b, (i0, v0), factors))
+    return tuple(out)
+
+
+def memoized_first_round(p, cap, digits):
+    try:
+        return padic._first_round(p, cap, tuple(digits.items()))
+    except padic._HandOver:
+        return "hand-over"
+
+
+def test_memoized_first_round_equals_uncached(monkeypatch):
+    """Every polynomial the Newton route analyzes for the classes of degree
+    <= 4 at q = 2, 3, 4 and 9 (the classes themselves, their peeled blocks
+    and their refinements) gets from the memoized first round what the
+    uncached analysis gives, on a cold and on a warm cache; a class's own
+    key may hold its exact valuations or those mod p^cap."""
+    from weilkit.weil import GlobalContext, enumerate_weil
+
+    seen = []
+    analyze, refined = padic._analyze, padic._analyze_refined
+
+    def spy_analyze(coeffs, p, cap, offset, out, digits=None):
+        seen.append((list(coeffs), p, cap))
+        return analyze(coeffs, p, cap, offset, out, digits)
+
+    def spy_refined(coeffs, p, cap, pinned_val, out):
+        seen.append((list(coeffs), p, cap))
+        return refined(coeffs, p, cap, pinned_val, out)
+
+    with monkeypatch.context() as m:
+        m.setattr(padic, "_analyze", spy_analyze)
+        m.setattr(padic, "_analyze_refined", spy_refined)
+        for q in (2, 3, 4, 9):
+            ctx = GlobalContext.from_q(q)
+            for cls in enumerate_weil(ctx, 4):
+                decompose_places(cls.polynomial, ctx.p, ctx.r)
+    assert len(seen) > 500
+    # at the edges of the cap: a vertex at cap - 2 and at cap - 1, the
+    # constant term lost, a middle point lost above the hull
+    seen += [([4, 0, 1], 2, 4), ([8, 0, 1], 2, 4), ([16, 0, 1], 2, 4), ([9, 27, 1], 3, 3)]
+    padic._first_round.cache_clear()
+    for warm in (False, True):
+        misses, handed_over = padic._first_round.cache_info().misses, 0
+        for coeffs, p, cap in seen:
+            want = uncached_first_round(coeffs, p, cap)
+            for digits in (padic._poly_val(coeffs, p, cap), padic._poly_val(coeffs, p)):
+                assert memoized_first_round(p, cap, digits) == want, (coeffs, p, cap, warm)
+                handed_over += want == "hand-over"
+        if warm:
+            # a hand-over is not cached; every other key now is
+            assert padic._first_round.cache_info().misses == misses + handed_over
+    info = padic._first_round.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_first_round_results_cannot_be_changed_by_callers():
+    """The cache hands every caller the same object, so it is tuples
+    throughout: hashable, and refusing item assignment."""
+    coeffs, p = [4, 0, 1], 2  # x^2 + 4 at q = 4: a repeated residual factor
+    cap = padic._working_precision(2, 2, 2)
+    digits = tuple(padic._poly_val(coeffs, p, cap).items())
+    first = padic._first_round(p, cap, digits)
+    assert first == ((1, 1, (0, 2), (((1, 1), 2),)),)
+    hash(first)
+    with pytest.raises(TypeError):
+        first[0][3][0] = ((0, 1), 1)
+    places = decompose_places(P(*coeffs), p, 2)
+    places.clear()
+    assert padic._first_round(p, cap, digits) is first
+    assert places_tuple(P(*coeffs), p, 2) == [(2, 1, F(1), F(0))]
 
 
 def _check_sums(triples, poly, p):
