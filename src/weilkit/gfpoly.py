@@ -107,13 +107,6 @@ def gf_deriv(a, p):
     return gf_trim([(i * c) % p for i, c in enumerate(a) if i > 0])
 
 
-def gf_eval(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def gf_pth_root(a, p):
     """p-th root of a polynomial in x^p; scalars are Frobenius-fixed in F_p."""
     return gf_trim([a[i] for i in range(0, len(a), p)])

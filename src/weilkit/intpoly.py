@@ -144,14 +144,6 @@ class IntPolynomial:
             return self
         return IntPolynomial((0,) * n + self.coeffs)
 
-    def compose(self, other):
-        """Substitute `other` for the variable."""
-        other = _coerce(other)
-        acc = IntPolynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * other + IntPolynomial((c,))
-        return acc
-
     def derivative(self):
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
@@ -173,7 +165,6 @@ class IntPolynomial:
 
 
 X = IntPolynomial((0, 1))
-ONE = IntPolynomial((1,))
 
 
 def _coerce(p):
@@ -182,14 +173,6 @@ def _coerce(p):
     if isinstance(p, int):
         return IntPolynomial((p,))
     raise TypeError("expected IntPolynomial or int, got %r" % (p,))
-
-
-def from_roots(roots):
-    """Monic polynomial with the given integer roots."""
-    p = ONE
-    for r in roots:
-        p = p * IntPolynomial((-r, 1))
-    return p
 
 
 # -- remainder sequences over Z -------------------------------------------

@@ -12,7 +12,10 @@ coefficient's valuation and unit digit are read once per polynomial, and
 the hull, the residual polynomials and the scaling all use them.  A round's
 segments and residual factorizations depend on that valuation-digit map
 alone, so they are memoized on it: the acceptance grid has few distinct
-maps.  A class it cannot finish (precision ran out, or a segment is still
+maps.  When the first round leaves every residual factor squarefree (the
+regular case: by Ore's theorem the polygon and the factor degrees give every
+place), a class's finished places are memoized too, on (p, r, digit map).
+A class it cannot finish (precision ran out, or a segment is still
 irregular) goes to the exact p-maximal-order route of `padicorders`.
 Either route's places must pass the degree and valuation-sum checks, or
 IrregularPlacesError is raised.  Inside the decomposition a root valuation
@@ -370,9 +373,9 @@ def _shift_poly(coeffs, c, mod):
 
 def _scale_down(coeffs, digits, p, a, cap):
     """G(p^a y) / p^c with c chosen minimal, `digits` being G's
-    `_poly_val`; returns (scaled, c, new_cap)."""
+    `_poly_val` items; returns (scaled, c, new_cap)."""
     mod = p ** cap
-    c = min(v + a * j for j, (v, _u) in digits.items())
+    c = min(v + a * j for j, (v, _u) in digits)
     if cap <= c:
         raise _HandOver("scaling exhausted precision")
     mod_out = p ** (cap - c)
@@ -388,12 +391,12 @@ def _analyze(coeffs, p, cap, offset, out, digits=None):
     """Emit (e, f, (num, den)) triples, the root valuation being num/den,
     for the roots of the monic coefficient list `coeffs` (all of nonnegative
     valuation), shifted by the integer `offset`; `digits` is its `_poly_val`
-    when the caller has it."""
+    items when the caller has them."""
     if len(coeffs) - 1 <= 0:
         return
     if digits is None:
-        digits = _poly_val(coeffs, p, cap)
-    analysis = _first_round(p, cap, tuple(digits.items()))
+        digits = tuple(_poly_val(coeffs, p, cap).items())
+    analysis = _first_round(p, cap, digits)
     if all(m == 1 for *_, factors in analysis for _, m in factors):
         for a, b, _left, factors in analysis:
             for irr, _m in factors:
@@ -444,6 +447,22 @@ def _analyze_refined(coeffs, p, cap, pinned_val, out):
             out.append((b, len(irr) - 1, (pinned_val, 1)))
 
 
+@lru_cache(maxsize=1024)
+def _regular_places(p, r, digits):
+    """The checked, sorted places of the monic polynomial whose `_poly_val`
+    items are `digits` when its first round is regular, else None; raises
+    as `_first_round` does.  The key fixes them: `digits` holds the degree
+    (its last index) and v0, hence the working precision, and r gives the
+    invariants.  Places that fail the check raise again on the next call:
+    exceptions are not cached.  The grid has 705 keys in 17,266 classes."""
+    degree, v0 = digits[-1][0], digits[0][1][0]
+    analysis = _first_round(p, _working_precision(degree, v0, r), digits)
+    if any(m > 1 for *_, factors in analysis for _, m in factors):
+        return None
+    triples = [(b, len(irr) - 1, (a, b)) for a, b, _l, fs in analysis for irr, _m in fs]
+    return _finished_places(triples, degree, v0, r)
+
+
 def decompose_places(poly, p, r):
     """All p-adic places of the number field of an irreducible Weil-class
     polynomial: returns a list of PlaceAboveP sorted by root valuation.
@@ -455,26 +474,31 @@ def decompose_places(poly, p, r):
         raise ValueError("monic nonconstant polynomial required")
     if poly.coeffs[0] == 0:
         raise ValueError("remove zero roots first")
-    coeffs = list(poly.coeffs)
-    digits = _poly_val(coeffs, p)
-    v0 = digits[0][0]
-    triples = []
-    if poly.degree == 1:
-        triples.append((1, 1, (v0, 1)))
-    else:
-        try:
-            _analyze(coeffs, p, _working_precision(poly.degree, v0, r), 0, triples, digits)
-        except _HandOver:
-            from .padicorders import places_from_order
+    digits = tuple(_poly_val(poly.coeffs, p).items())
+    v0 = digits[0][1][0]
+    try:
+        places = _regular_places(p, r, digits)
+        if places is not None:
+            return list(places)
+        triples = []
+        _analyze(list(poly.coeffs), p, _working_precision(poly.degree, v0, r), 0, triples, digits)
+    except _HandOver:
+        from .padicorders import places_from_order
 
-            triples = [
-                (e, f, (v.numerator, v.denominator)) for e, f, v in places_from_order(poly, p, r)
-            ]
+        triples = [
+            (e, f, (v.numerator, v.denominator)) for e, f, v in places_from_order(poly, p, r)
+        ]
+    return list(_finished_places(triples, poly.degree, v0, r))
+
+
+def _finished_places(triples, degree, v0, r):
+    """The (e, f, (num, den)) triples checked by `_check_place_sums`, sorted
+    by root valuation, as a tuple of interned places."""
     # valuations over one common denominator: sums and order in integers
     common = lcm(*(den for _e, _f, (_num, den) in triples))
-    _check_place_sums(triples, common, poly.degree, v0)
+    _check_place_sums(triples, common, degree, v0)
     triples.sort(key=lambda t: (t[2][0] * (common // t[2][1]), t[1], t[0]))
-    return [make_place(e, f, num, den, r) for e, f, (num, den) in triples]
+    return tuple(make_place(e, f, num, den, r) for e, f, (num, den) in triples)
 
 
 def _check_place_sums(triples, common, degree, expected):

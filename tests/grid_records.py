@@ -16,9 +16,10 @@ every class and prints:
   went to `padicorders.places_from_order`;
 - the wall time of the records of the Newton-route classes and of the
   order-route classes;
-- the hits and misses of the Newton route's memoized first round
-  (`padic._first_round.cache_info()`): its key is a polynomial's
-  valuation-digit map, and the grid has few distinct ones.
+- the hits and misses of the Newton route's two caches on the
+  valuation-digit map: its memoized first round (`padic._first_round`,
+  keyed with the working precision) and its finished regular places
+  (`padic._regular_places`, keyed with r); the grid has few distinct maps.
 
 Expected output at every commit since the one hand-over landed: sha256
 e2979414aba4890fc8a20551ef6ed2ad4748d6f9501d90e8947124568d454a46 and 417
@@ -72,8 +73,9 @@ def main():
     print("hand-overs  %d" % len(handed_over))
     print("newton_s    %.2f" % times["newton"])
     print("order_s     %.2f" % times["order"])
-    info = padic._first_round.cache_info()
-    print("first_round hits %d misses %d (maxsize %d)" % (info.hits, info.misses, info.maxsize))
+    for name in ("_first_round", "_regular_places"):
+        info = getattr(padic, name).cache_info()
+        print("%-16s hits %d misses %d (maxsize %d)" % (name[1:], info.hits, info.misses, info.maxsize))
     return 0
 
 

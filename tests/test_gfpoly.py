@@ -86,6 +86,14 @@ def test_lexicographically_smallest_irreducible():
     assert gp.is_irreducible(m, 2)
 
 
+def gf_eval(a, x, p):
+    """a(x) mod p by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def _exhaustive_irreducible(poly, p):
     """Oracle for degree <= 3: irreducible iff no roots (deg 2, 3) or no
     divisor of degree 1 (deg 1 trivially irreducible)."""
@@ -93,7 +101,7 @@ def _exhaustive_irreducible(poly, p):
     if d <= 1:
         return d == 1
     if d <= 3:
-        return all(gp.gf_eval(poly, x, p) != 0 for x in range(p))
+        return all(gf_eval(poly, x, p) != 0 for x in range(p))
     raise NotImplementedError
 
 
@@ -200,7 +208,10 @@ def test_factor_result_is_the_callers_own():
 def test_residual_factorizations_repeat_across_the_grid():
     # one pass of the place decomposition over every class of degree <= 4
     # of the acceptance grid's fields: residual polynomials recur across
-    # classes, so the cache serves nearly all calls on the first pass
+    # classes, so the cache serves nearly all calls on the first pass.  The
+    # padic caches above it start cold too, or what earlier tests left in
+    # them would decide which residuals reach the factorizer
+    from weilkit import padic
     from weilkit.padic import decompose_places
     from weilkit.weil import GlobalContext, enumerate_weil
 
@@ -208,6 +219,8 @@ def test_residual_factorizations_repeat_across_the_grid():
         cls for q in (2, 3, 4, 9, 32) for cls in enumerate_weil(GlobalContext.from_q(q), 4)
     ]
     gp._factor_monic.cache_clear()
+    padic._first_round.cache_clear()
+    padic._regular_places.cache_clear()
     for cls in classes:
         decompose_places(cls.polynomial, cls.context.p, cls.context.r)
     info = gp._factor_monic.cache_info()

@@ -312,7 +312,14 @@ def test_memoized_first_round_equals_uncached(monkeypatch):
         for q in (2, 3, 4, 9):
             ctx = GlobalContext.from_q(q)
             for cls in enumerate_weil(ctx, 4):
-                decompose_places(cls.polynomial, ctx.p, ctx.r)
+                # a class whose first round is regular never reaches
+                # _analyze: decompose_places reads that round through
+                # _regular_places, so record the class where it enters
+                poly = cls.polynomial
+                v0 = v_p(poly.coeffs[0], ctx.p)
+                cap = padic._working_precision(poly.degree, v0, ctx.r)
+                seen.append((list(poly.coeffs), ctx.p, cap))
+                decompose_places(poly, ctx.p, ctx.r)
     assert len(seen) > 500
     # at the edges of the cap: a vertex at cap - 2 and at cap - 1, the
     # constant term lost, a middle point lost above the hull
@@ -347,6 +354,86 @@ def test_first_round_results_cannot_be_changed_by_callers():
     places.clear()
     assert padic._first_round(p, cap, digits) is first
     assert places_tuple(P(*coeffs), p, 2) == [(2, 1, F(1), F(0))]
+
+
+def uncached_places(poly, p, r):
+    """decompose_places without its regular-places cache: `_analyze` at the
+    working precision (the order route on a hand-over), the sum checks, a
+    sort by Fraction and the interned places; and whether it handed over."""
+    coeffs = list(poly.coeffs)
+    v0 = v_p(coeffs[0], p)
+    triples = []
+    try:
+        padic._analyze(coeffs, p, padic._working_precision(poly.degree, v0, r), 0, triples)
+        handed_over = False
+    except padic._HandOver:
+        triples = [
+            (e, f, (v.numerator, v.denominator))
+            for e, f, v in padicorders.places_from_order(poly, p, r)
+        ]
+        handed_over = True
+    padic._check_place_sums(triples, lcm(*(den for *_, (_, den) in triples)), poly.degree, v0)
+    triples.sort(key=lambda t: (F(*t[2]), t[1], t[0]))
+    return [make_place(e, f, num, den, r) for e, f, (num, den) in triples], handed_over
+
+
+def test_regular_places_cache_equals_uncached_path():
+    """decompose_places serves a class whose first round is regular from a
+    cache on (p, r, valuation-digit map).  On every class of degree <= 4 at
+    q = 2, 3, 4, 9 and 32, on a cold and a warm cache, it gives what the
+    uncached path gives, a list the caller may change without changing the
+    next answer, and on the warm cache only a hand-over misses.  Weil classes
+    at q = 2 and q = 4 never share a digit map (v0 = r d / 2), so one
+    polynomial is also asked for at r = 1 and r = 2: x^2 + 3 is Eisenstein
+    at 3, with invariant 1 / r."""
+    from weilkit.weil import GlobalContext, enumerate_weil
+
+    cases = [
+        (cls.polynomial, cls.context.p, cls.context.r)
+        for q in (2, 3, 4, 9, 32)
+        for cls in enumerate_weil(GlobalContext.from_q(q), 4)
+    ]
+    cases += [(P(3, 0, 1), 3, 1), (P(3, 0, 1), 3, 2)]
+    wants = [uncached_places(*case) for case in cases]
+    cache = padic._regular_places
+    cache.cache_clear()
+    for warm in (False, True):
+        for (poly, p, r), (want, handed_over) in zip(cases, wants):
+            misses = cache.cache_info().misses
+            got = decompose_places(poly, p, r)
+            assert got == want, (poly.coeffs, p, r, warm)
+            if handed_over:
+                continue
+            if warm:
+                assert cache.cache_info().misses == misses, (poly.coeffs, p, r)
+            got.clear()
+            assert decompose_places(poly, p, r) == want, (poly.coeffs, p, r, warm)
+    assert [places_tuple(*case) for case in cases[-2:]] == [
+        [(2, 1, F(1, 2), F(0))],
+        [(2, 1, F(1, 2), F(1, 2))],
+    ]
+    info = cache.cache_info()
+    assert info.hits > len(cases)
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_irregular_key_raises_on_every_call(monkeypatch):
+    """Places that fail the sum checks are not cached: the same key raises
+    IrregularPlacesError again on the next call."""
+    poly, p, r = P(9, -1, 1), 3, 2  # two segments, valuations 0 and 2
+    honest = padic._first_round
+
+    def last_segment_lost(p, cap, digits):
+        return honest(p, cap, digits)[:-1]
+
+    padic._regular_places.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(padic, "_first_round", last_segment_lost)
+        for _ in range(2):
+            with pytest.raises(IrregularPlacesError, match="degrees sum to 1, expected 2$"):
+                decompose_places(poly, p, r)
+            assert padic._regular_places.cache_info().currsize == 0
+    assert places_tuple(poly, p, r) == [(1, 1, F(0), F(0)), (1, 1, F(2), F(0))]
 
 
 def _check_sums(triples, poly, p):
@@ -460,6 +547,9 @@ def test_out_of_precision_class_goes_to_the_order_route(monkeypatch):
 
     monkeypatch.setattr(padicorders, "places_from_order", spy)
     monkeypatch.setattr(padic, "_working_precision", lambda degree, v0, r: v0)
+    # the regular-places cache reads the working precision as a function of
+    # its key, so its entries from before the patch would still be served
+    padic._regular_places.cache_clear()
     for (poly, p, r), places in zip(cases, want):
         calls.clear()
         assert places_tuple(poly, p, r) == places, poly

@@ -133,7 +133,7 @@ def test_inverse_of_units(f, p):
     ring = ring_of(f, p, 4)
     for c in range(p):
         u = ring.add(ring.scal(c, ring.one), ring.basis(1))  # x + c
-        if gp.gf_eval(f, -c, p):
+        if sum(a * (-c) ** i for i, a in enumerate(f)) % p:  # f(-c) mod p
             assert ring.mul(u, ring.inv(u)) == ring.one
         else:
             with pytest.raises(ZeroDivisionError):
