@@ -27,7 +27,7 @@ def lift_pair(f, g0, h0, p, k):
     check: it must leave no remainder mod p^k.
     """
     g = gp.gf_normal(g0, p)
-    _s, t = _xgcd_poly(g, gp.gf_normal(h0, p), p)
+    t = _xgcd_poly(g, gp.gf_normal(h0, p), p)
     q = p ** k
     m = p
     while m < q:
@@ -44,19 +44,18 @@ def lift_pair(f, g0, h0, p, k):
 
 
 def _xgcd_poly(a, b, p):
-    """s, t with s*a + t*b = 1 mod p for coprime a, b."""
+    """t with s*a + t*b = 1 mod p for coprime a, b (the cofactor s is not
+    built)."""
     r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
         q, r = gp.gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, gp.gf_sub(s0, gp.gf_mul(q, s1, p), p)
         t0, t1 = t1, gp.gf_sub(t0, gp.gf_mul(q, t1, p), p)
     if len(r0) != 1:
         raise ValueError("factors not coprime mod p")
     inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+    return [c * inv % p for c in t0]
 
 
 def lift_factorization(f, parts, p, k):

@@ -287,22 +287,25 @@ def _squarefree_chain(poly):
     return chain
 
 
+def roots_at_most(poly):
+    """x -> the number of real roots of a squarefree polynomial in
+    (-infinity, x], for int or Fraction x, all from one Sturm chain.
+    Raises ValueError on non-squarefree input."""
+    chain = _squarefree_chain(poly)
+    minus, _plus = _infinity_variations(chain)
+    return lambda x: minus - _variations_at(chain, x)
+
+
 def sturm_count(poly, a, b):
     """Exact number of real roots of a squarefree polynomial in (a, b].
 
     `a` and `b` may be ints or Fractions with a < b.  Raises ValueError on
     non-squarefree input (callers are expected to divide out gcd(p, p')).
     """
-    chain = _squarefree_chain(poly)
+    count = roots_at_most(poly)
     if not a < b:
         raise ValueError("need a < b")
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
-def count_real_roots(poly):
-    """Number of distinct real roots of a squarefree polynomial."""
-    minus, plus = _infinity_variations(_squarefree_chain(poly))
-    return minus - plus
+    return count(b) - count(a)
 
 
 # -- signs at quadratic surds --------------------------------------------

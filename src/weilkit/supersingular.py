@@ -227,11 +227,6 @@ def _congruent(x, p):
     return not (x[4] % p or x[5] % p or (x[0] - x[6]) % p or (x[1] + x[7]) % p)
 
 
-def congruence_predicate(m, p):
-    """p | c and a = conj(d) mod p."""
-    return _congruent(matrix_to_coords(m), p)
-
-
 @dataclass(frozen=True)
 class OrderPresentation:
     """A Z-order inside M_2(Z[i]): HNF basis rows in the 8 integer

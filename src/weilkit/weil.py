@@ -5,14 +5,17 @@ A class is stored as its monic minimal polynomial over Z together with the
 context q = p^r.  No algebraic numbers are ever materialized: the root
 conditions (every complex root of absolute value sqrt(q)) are decided
 exactly through the trace polynomial, Sturm counts and quadratic-surd sign
-tests.
+tests.  Enumeration lists the trace polynomials of degree <= 4 by one
+exact-window scan, which reads each admissible coefficient off an integer
+interval and so needs no root test at its leaves.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 from operator import mul
 
 from . import zfactor
@@ -20,9 +23,10 @@ from .checks import verify
 from .intpoly import (
     IntPolynomial,
     all_roots_in_open_surd_interval,
-    is_squarefree,
+    eval_at_surd,
+    roots_at_most,
+    squarefree_part,
     surd_floor,
-    surd_sign,
 )
 from .padic import newton_polygon, v_p
 
@@ -390,155 +394,101 @@ def weil_set(classes):
 # -- enumeration -----------------------------------------------------------
 
 
-def _ceil_surd(num_a, num_b, s, den):
-    """Exact ceil of (num_a + num_b*sqrt(s)) / den."""
-    return -surd_floor(-num_a, -num_b, s, den)
-
-
-def _coefficient_bound(d, k, q):
-    """ceil(binom(d, k) * (2 sqrt q)^k), bounding the x^(d-k) coefficient."""
-    c = comb(d, k) * 2 ** k
-    if k % 2 == 0:
-        return c * q ** (k // 2)
-    inner = q ** k
-    root = isqrt(inner)
-    if root * root < inner:
-        root += 1
-    return c * root
-
-
 def _trace_polys_degree(d, q):
-    """All monic squarefree integer Q of degree d with every root real and
-    inside (-2 sqrt q, 2 sqrt q), in lexicographic coefficient order."""
-    if d == 1:
-        # root -c0 in the open interval: c0^2 < 4q
-        return [
-            IntPolynomial((c0, 1))
-            for c0 in range(-surd_floor(0, 2, q, 1), surd_floor(0, 2, q, 1) + 1)
-            if c0 * c0 < 4 * q
-        ]
-    if d == 2:
-        return _trace_quadratics(q)
-    if d == 3:
-        return _trace_cubics(q)
-    return _trace_generic(d, q)
+    """All monic squarefree integer Q of degree d, 1 <= d <= 4, with every
+    root in I = (-2 sqrt q, 2 sqrt q), in increasing order of
+    (c_(d-1), ..., c_0): one exact-window scan (Kedlaya, "Search techniques
+    for root-unitary polynomials", Contemp. Math. 463, 2008).
 
+    Write Q = x^d + c_(d-1) x^(d-1) + ... + c_0 and, for l = 1..d,
+    P_l = Q^(d-l) / (d-l)! = sum_m C(m, d-l) c_m x^(m-d+l): integer
+    coefficients, degree l, leading coefficient C(d, l) > 0, constant term
+    c_(d-l), derivative (d-l+1) P_(l-1), and P_d = Q.  Q is squarefree with
+    every root in I exactly when every P_l is: when a polynomial of degree n
+    has n distinct roots in I, Rolle's theorem puts a root of its derivative
+    strictly between each two consecutive ones, so the derivative has n - 1
+    distinct roots in I.
 
-def _trace_quadratics(q):
+    The scan chooses c_(d-1), ..., c_0 in turn; level l chooses c_(d-l)
+    once P_(l-1) has passed.  Then g = P_l - c_(d-l) has l - 1 distinct
+    critical points xi_1 < ... < xi_(l-1) in I; put xi_0 = -2 sqrt q and
+    xi_l = 2 sqrt q.  g + c is strictly monotone between consecutive xi_i,
+    so it has l distinct roots in I exactly when its values there alternate
+    strictly in sign, (-1)^(l-i) (g(xi_i) + c) > 0 for i = 0..l: c lies
+    above -g(xi_i) for l - i even and below it for l - i odd.  The admissible
+    c_(d-l) thus form one open interval, which `_window` reads exactly, and
+    every leaf of the scan is admissible with no test at the leaf.  At
+    l = 5 two local maxima would bound c from below, and the sorted
+    critical values alone no longer give the window, so the scan stops at
+    d = 4, the trace degree of `enumerate_weil`'s degree 8.
+    """
+    if not 1 <= d <= 4:
+        raise ValueError("trace degree must be between 1 and 4")
     out = []
-    b1 = _coefficient_bound(2, 1, q)
-    for c1 in range(-b1, b1 + 1):
-        if c1 * c1 >= 16 * q:
-            continue  # vertex -c1/2 outside (-B, B)
-        # roots real in (-B, B): c0 <= c1^2/4 (real), Q(+-B) > 0
-        hi = (c1 * c1) // 4
-        lo = max(
-            surd_floor(-4 * q, -2 * c1, q, 1) + 1,
-            surd_floor(-4 * q, 2 * c1, q, 1) + 1,
-        )
-        for c0 in range(lo, hi + 1):
-            if c1 * c1 - 4 * c0 != 0:
-                out.append(IntPolynomial((c0, c1, 1)))
+
+    def scan(top):
+        # top = (c_(k+1), ..., c_d = 1), constant term first; choose c_k
+        k = d - len(top)
+        g = IntPolynomial((0,) + tuple(comb(k + 1 + i, k) * c for i, c in enumerate(top)))
+        for c in _window(g, q):
+            if k:
+                scan((c,) + top)
+            else:
+                out.append(IntPolynomial((c,) + top))
+
+    scan((1,))
     return out
 
 
-def _sqrt_less_than(d, a, b, s):
-    """Exact test sqrt(d) < a + b*sqrt(s) for integers d >= 0, b >= 0."""
-    rhs = surd_sign(a, b, s)
-    if rhs <= 0:
-        return False
-    # square both sides: d < a^2 + b^2 s + 2ab sqrt(s)
-    return surd_sign(a * a + b * b * s - d, 2 * a * b, s) > 0
-
-
-def _trace_cubics(q):
-    """Valid c0 for fixed (c2, c1) form an integer interval determined by
-    the critical points of the cubic (quadratic surds) and the interval
-    endpoints; with the critical points confirmed inside the interval the
-    window is exact, so only squarefreeness remains to check."""
-    out = []
-    b2 = _coefficient_bound(3, 1, q)
-    for c2 in range(-b2, b2 + 1):
-        # derivative 3x^2 + 2 c2 x + c1 needs real roots in (-B, B), B=2*sqrt(q):
-        # discriminant >= 0 and Q'(+-B) = 12q +- 4 c2 sqrt(q) + c1 > 0
-        hi1 = (c2 * c2) // 3
-        lo1 = max(
-            surd_floor(-12 * q, -4 * c2, q, 1) + 1,
-            surd_floor(-12 * q, 4 * c2, q, 1) + 1,
-        )
-        for c1 in range(lo1, hi1 + 1):
-            disc = c2 * c2 - 3 * c1
-            if disc < 0:
-                continue
-            # critical points (-c2 +- sqrt(disc))/3 must lie in (-B, B):
-            # sqrt(disc) < -+ c2 + 6 sqrt(q)
-            if not _sqrt_less_than(disc, -c2, 6, q):
-                continue
-            if not _sqrt_less_than(disc, c2, 6, q):
-                continue
-            # 27*Q0(xi) = T -+ 2*disc*sqrt(disc) at the critical points,
-            # T = 2 c2^3 - 9 c1 c2: the all-real window for c0 is
-            # ceil((-T - 2 d sqrt d)/27) <= c0 <= floor((-T + 2 d sqrt d)/27)
-            t_val = 2 * c2 ** 3 - 9 * c1 * c2
-            lo = _ceil_surd(-t_val, -2 * disc, disc, 27)
-            hi = surd_floor(-t_val, 2 * disc, disc, 27)
-            # endpoint conditions: c0 > -Q0(B), c0 < -Q0(-B)
-            lo = max(lo, surd_floor(-4 * q * c2, -(8 * q + 2 * c1), q, 1) + 1)
-            hi = min(hi, _ceil_surd(-4 * q * c2, 8 * q + 2 * c1, q, 1) - 1)
-            for c0 in range(lo, hi + 1):
-                disc3 = (
-                    18 * c2 * c1 * c0
-                    - 4 * c2 ** 3 * c0
-                    + c2 * c2 * c1 * c1
-                    - 4 * c1 ** 3
-                    - 27 * c0 * c0
-                )
-                if disc3 != 0:
-                    out.append(IntPolynomial((c0, c1, c2, 1)))
-    out.sort(key=lambda p: p.coeffs)
-    return out
-
-
-def _trace_generic(d, q):
-    """Depth-first search over coefficients with derivative pruning."""
-    out = []
-    bounds = [_coefficient_bound(d, d - i, q) for i in range(d)]  # bound for c_i
-
-    def derivative_poly(chosen, level):
-        # polynomial whose roots must lie in the interval: the (d-level)-th
-        # derivative of x^d + sum chosen coefficients, divided by nothing
-        coeffs = {}
-        coeffs[d] = 1
-        for idx, c in chosen.items():
-            coeffs[idx] = c
-        order = d - level
-        out_c = [0] * (level + 1)
-        for m, c in coeffs.items():
-            if m >= order:
-                fall = 1
-                for t in range(order):
-                    fall *= m - t
-                out_c[m - order] += c * fall
-        return IntPolynomial(out_c)
-
-    def rec(level, chosen):
-        dp = derivative_poly(chosen, level)
-        if not all_roots_in_open_surd_interval(dp, 2, q):
-            return
-        if level == d:
-            qb = dp
-            if is_squarefree(qb):
-                out.append(qb)
-            return
-        idx = d - level - 1
-        for c in range(-bounds[idx], bounds[idx] + 1):
-            chosen[idx] = c
-            rec(level + 1, chosen)
-        del chosen[idx]
-
-    rec(0, {})
-    out.sort(key=lambda p: p.coeffs)
-    return out
+def _window(g, q):
+    """The integers c for which g + c has deg g <= 4 distinct roots in
+    (-2 sqrt q, 2 sqrt q), as a range, when g(0) = 0, g has positive
+    leading coefficient and g' has deg g - 1 distinct roots there (the proof
+    is in `_trace_polys_degree`)."""
+    n = g.degree
+    # g(+-2 sqrt q) = u +- v sqrt q; c lies above -g(2 sqrt q), and above
+    # -g(-2 sqrt q) for n even, below it for n odd
+    u, v = eval_at_surd(g, 0, 2, q)
+    lo = surd_floor(-u, -v, q, 1) + 1
+    if n % 2:
+        hi = -surd_floor(u, -v, q, 1) - 1
+    else:
+        lo = max(lo, surd_floor(-u, v, q, 1) + 1)
+    if n == 2:
+        # one minimum, at -g1 / (2 g2): c < g1^2 / (4 g2)
+        hi = (g[1] * g[1] - 1) // (4 * g[2])
+    elif n == 3:
+        # 27 g3^2 g(xi) = t -+ 2 D sqrt D at xi = (-g2 +- sqrt D) / (3 g3), where
+        # D = g2^2 - 3 g1 g3 > 0: c lies above -g at the maximum (the smaller
+        # xi) and below -g at the minimum
+        _, g1, g2, g3 = g.coeffs
+        disc = g2 * g2 - 3 * g1 * g3
+        t = 2 * g2 * disc - 3 * g1 * g2 * g3
+        lo = max(lo, surd_floor(-t, -2 * disc, disc, 27 * g3 * g3) + 1)
+        hi = min(hi, -surd_floor(t, -2 * disc, disc, 27 * g3 * g3) - 1)
+    elif n == 4:
+        # g + T has a repeated root exactly when T = -g(xi) for a critical
+        # point xi, so the -g(xi_i) are the roots of the cubic disc_x(g + T)
+        # in Z[T]: the discriminant of a x^4 + b x^3 + c x^2 + d x + T.  g
+        # has its maximum at xi_2 and its minima at xi_1, xi_3, so the window
+        # is (r_1, r_2) for the two smallest distinct roots r_1 < r_2, found
+        # by integer Sturm bisection within |c| = |P_4(0)| < a (2 sqrt q)^4.
+        _, d, c, b, a = g.coeffs
+        disc = IntPolynomial((
+            d * d * ((b * c) ** 2 - 4 * a * c ** 3 - 4 * b ** 3 * d + 18 * a * b * c * d
+                     - 27 * (a * d) ** 2),
+            16 * a * c ** 4 - 4 * b * b * c ** 3 - 80 * a * b * c * c * d + 18 * b ** 3 * c * d
+            + 144 * a * a * c * d * d - 6 * a * b * b * d * d,
+            144 * a * b * b * c - 27 * b ** 4 - 128 * (a * c) ** 2 - 192 * a * a * b * d,
+            256 * a ** 3,
+        ))
+        at_most = roots_at_most(squarefree_part(disc))
+        box = range(lo, 16 * a * q * q)
+        # the first c with a root below it, and the last with at most one
+        # root up to it
+        lo = box.start + bisect_right(box, 0, key=lambda x: at_most(x) - (disc(x) == 0))
+        hi = box.start + bisect_right(box, 1, key=at_most) - 1
+    return range(lo, hi + 1)
 
 
 def enumerate_weil(ctx, max_degree):

@@ -163,11 +163,13 @@ def test_order_requests_byte_identical(capsys):
 
 # sha256 of the `--no-cache enumerate` stdout of the 14 acceptance-grid
 # cells, measured before the Sturm tests moved from Fraction remainders to
-# one integer remainder sequence
+# one integer remainder sequence, and of (2, 8), measured on the per-node
+# Sturm search that the exact-window scan replaced
 ENUMERATE_DIGESTS = {
     (2, 2): "346e8daa710ff7b3adb8264206c3b5049353f62a4e7ee6b7d15287012b48aab6",
     (2, 4): "4cb307d64d26ebbac3021ee2d4896003968acfd3220de8adb0631a25d703eced",
     (2, 6): "7b87d1b638ca20c2fd9b3976851e8e1e07b327e56ad09eeba4fade259c8b7a58",
+    (2, 8): "b5a73b64da061b04ea9323759ef6cd2400c607d02b49e5aff386af0368d13dd7",
     (3, 2): "51b75efac5cfbc021f72bfb7d08ccd1d41430c4fe991a2c78de2114be0710942",
     (3, 4): "f9890635e316d2fd7546a733f53830097db871d6552d039d305c5315f24305f1",
     (3, 6): "13accff9b18f919b435e1ab6b9481823c19f1113e5fd115a1bc66b924f74343c",

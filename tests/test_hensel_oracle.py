@@ -15,7 +15,7 @@ import pytest
 
 from weilkit import gfpoly as gp
 from weilkit import hensel
-from weilkit.hensel import _xgcd_poly, lift_factorization, lift_pair
+from weilkit.hensel import lift_factorization, lift_pair
 
 
 def linear_lift_pair(f, g0, h0, p, k):
@@ -28,7 +28,7 @@ def linear_lift_pair(f, g0, h0, p, k):
     if len(gp.gf_gcd(g0, h0, p)) - 1 != 0:
         raise ValueError("factors not coprime mod p")
     # Bezout: s*g0 + t*h0 = 1 mod p
-    s, t = _xgcd_poly(g0, h0, p)
+    s, t = xgcd_poly(g0, h0, p)
     g, h = list(g0), list(h0)
     modulus = p
     while modulus < p ** k:
@@ -41,6 +41,23 @@ def linear_lift_pair(f, g0, h0, p, k):
         h = _add_keep_monic(h, dh, modulus, len(h0) - 1)
     q = p ** k
     return gp.gf_normal(g, q), gp.gf_normal(h, q)
+
+
+def xgcd_poly(a, b, p):
+    """s, t with s*a + t*b = 1 mod p for coprime a, b: the extended gcd the
+    linear lifter needs both cofactors of."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = gp.gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, gp.gf_sub(s0, gp.gf_mul(q, s1, p), p)
+        t0, t1 = t1, gp.gf_sub(t0, gp.gf_mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise ValueError("factors not coprime mod p")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 def _add_keep_monic(a, d, m, deg):
@@ -129,10 +146,10 @@ def test_refinement_lifts_match_linear_oracle(f, parts, p, k, monkeypatch):
 
 def test_lift_checks_survive_optimized_mode():
     """A lift that does not multiply back to f is refused under python -O
-    too: a wrong Bezout pair leaves the factors unlifted."""
+    too: a wrong Bezout cofactor leaves the factors unlifted."""
     script = (
         "from weilkit import hensel\n"
-        "hensel._xgcd_poly = lambda a, b, p: ([], [])\n"
+        "hensel._xgcd_poly = lambda a, b, p: []\n"
         "try:\n"
         "    hensel.lift_factorization([-1, 0, 1], [[6, 1], [1, 1]], 7, 2)\n"
         "except AssertionError as e:\n"

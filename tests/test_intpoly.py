@@ -6,14 +6,16 @@ import pytest
 from weilkit.intpoly import (
     IntPolynomial,
     X,
+    _infinity_variations,
+    _squarefree_chain,
     all_roots_in_open_surd_interval,
-    count_real_roots,
     discriminant,
     divmod_exact,
     eval_at_surd,
     gcd_poly,
     is_squarefree,
     resultant,
+    roots_at_most,
     squarefree_part,
     sturm_count,
     surd_floor,
@@ -32,6 +34,13 @@ def from_roots(roots):
     for r in roots:
         out = out * poly(-r, 1)
     return out
+
+
+def count_real_roots(poly):
+    """Number of distinct real roots of a squarefree polynomial: the Sturm
+    variations at -infinity minus those at +infinity."""
+    minus, plus = _infinity_variations(_squarefree_chain(poly))
+    return minus - plus
 
 
 def compose(p, q):
@@ -115,6 +124,18 @@ def test_count_real_roots():
     assert count_real_roots(from_roots([-3, 0, 5])) == 3
     assert count_real_roots(poly(1, 0, 1)) == 0
     assert count_real_roots(poly(-1, 0, 0, 0, 1)) == 2  # x^4 - 1
+
+
+def test_roots_at_most():
+    rng = random.Random(3)
+    for _ in range(60):
+        roots = rng.sample(range(-12, 13), rng.randint(1, 5))
+        p = rng.choice((1, -1, 3)) * from_roots(roots)
+        at_most = roots_at_most(p)
+        for x in (-13, 13, rng.randint(-12, 12), Fraction(rng.randint(-40, 40), 3)):
+            assert at_most(x) == sum(1 for r in roots if r <= x)
+    with pytest.raises(ValueError):
+        roots_at_most(poly(1, 2, 1))
 
 
 def _resultant_oracle(p, q):

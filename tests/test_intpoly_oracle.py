@@ -1,14 +1,14 @@
 """Oracle test for intpoly's integer remainder sequence.
 
 `gcd_poly`, `is_squarefree`, `squarefree_part`, `divmod_exact`,
-`sturm_count`, `count_real_roots` and `all_roots_in_open_surd_interval` all
-run on one primitive pseudo-remainder sequence over Z.  The oracle below is
-the earlier kernel, kept verbatim: Euclidean remainders over Q in
-`Fraction` lists, Sturm signs from `Fraction` Horner evaluation, and real
-roots counted between minus and plus the Cauchy bound.  The inputs are the
-trace polynomials of every acceptance-grid cell and seeded random
-polynomials of degree 1-8 with squared factors, negative and non-unit
-leading coefficients and zero constant terms.
+`sturm_count`, `all_roots_in_open_surd_interval` and the test helper
+`count_real_roots` all run on one primitive pseudo-remainder sequence over
+Z.  The oracle below is the earlier kernel, kept verbatim: Euclidean
+remainders over Q in `Fraction` lists, Sturm signs from `Fraction` Horner
+evaluation, and real roots counted between minus and plus the Cauchy
+bound.  The inputs are the trace polynomials of every acceptance-grid cell
+and seeded random polynomials of degree 1-8 with squared factors, negative
+and non-unit leading coefficients and zero constant terms.
 """
 
 import random
@@ -17,11 +17,11 @@ from math import gcd
 
 import pytest
 
+from test_intpoly import count_real_roots
 from weilkit.intpoly import (
     IntPolynomial,
     all_roots_below_surd,
     all_roots_in_open_surd_interval,
-    count_real_roots,
     divmod_exact,
     gcd_poly,
     is_squarefree,

@@ -10,8 +10,8 @@ from weilkit.supersingular import (
     GaussInt,
     LatticeModP,
     VerificationError,
+    _congruent,
     center_index_in_gaussian_scalars,
-    congruence_predicate,
     coords_to_matrix,
     dieudonne_matrix_order,
     endomorphism_order,
@@ -50,6 +50,11 @@ def test_matrix_order_index():
         assert order.index == p ** 4
         assert order.contains(psi_frobenius(p))
         assert order.contains(psi_verschiebung(p))
+
+
+def congruence_predicate(m, p):
+    """p | c and a = conj(d) mod p, for the matrix m = [[a, b], [c, d]]."""
+    return _congruent(matrix_to_coords(m), p)
 
 
 def test_predicate_closure_probe():
