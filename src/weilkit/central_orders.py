@@ -32,7 +32,6 @@ from .intmatrix import (
     elementary_divisors,
     mul_mod,
     poly_mod,
-    rref_mod_p,
 )
 from .tablering import table_product
 from .weil import WeilSet, weil_set
@@ -65,12 +64,6 @@ class CentralOrder:
     @property
     def rank(self):
         return len(self.basis_labels)
-
-    def element_coords(self, vec):
-        """Coordinates of a power-basis Fraction vector in the order basis."""
-        (ints,), den = _integer_rows([[Fraction(c) for c in vec]])
-        m = den * self.lattice.e
-        return [Fraction(c, m) for c in self.lattice.scaled_coords(ints)]
 
     def multiply(self, a, b):
         """Product in order coordinates via the integer table."""
@@ -262,17 +255,3 @@ def connected_components(w):
     out.sort(key=lambda g: g[0].sort_key())
     return out
 
-
-def supersingular_point_test(order):
-    """Is (F, V, p) the unit ideal in R_w/pR_w?  True exactly when every
-    class of w is ordinary; otherwise the quotient by (F, V, p) is F_p."""
-    p = order.weil_set.context.p
-    d = order.rank
-    f, v, _one = order.generators
-    rows = []
-    for i in range(d):
-        e = [1 if j == i else 0 for j in range(d)]
-        rows.append([c % p for c in order.multiply(f, e)])
-        rows.append([c % p for c in order.multiply(v, e)])
-    ech, piv = rref_mod_p(rows, p)
-    return len(ech) == d, d - len(ech)

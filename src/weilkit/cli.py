@@ -48,6 +48,10 @@ SCHEMA = "weilkit/1"
 # example-sec9 closes (p^4 - 1)/(p - 1) cyclic submodules, so its cost grows
 # as p^3: about 0.6 s at p = 23 and 1.7 s at p = 31 (one Xeon vCPU, Python 3.11)
 SEC9_MAX_P = 23
+# enumerate and ingest refuse a degree bound 2g with about 2^(g+1) q^(g(g+1)/4)
+# classes (within 30% from (2, 8) to (256, 4)) over this: (4, 8) has 33,441, in
+# 16 s (one Xeon vCPU, Python 3.11), and (9, 8) would have about 1.9 million
+ENUMERATE_MAX_CLASSES = 50_000
 
 
 class RequestError(Exception):
@@ -138,9 +142,17 @@ def cmd_validate(args):
     }
 
 
+def _enumerate_weil(ctx, bound):
+    """`enumerate_weil`, capped on the degree bounds 2g it accepts."""
+    g = bound // 2
+    if 2 <= bound <= 8 and 2 ** (4 * g + 4) * ctx.q ** (g * (g + 1)) > ENUMERATE_MAX_CLASSES ** 4:
+        raise RequestError("over %d classes at this q and degree" % ENUMERATE_MAX_CLASSES)
+    return enumerate_weil(ctx, bound)
+
+
 def cmd_enumerate(args):
     ctx = parse_context(args)
-    classes = enumerate_weil(ctx, args.max_degree)
+    classes = _enumerate_weil(ctx, args.max_degree)
     return {
         "q": ctx.q,
         "max_degree": args.max_degree,
@@ -311,7 +323,7 @@ def cmd_ingest(args):
         bound = max((c.degree for c in valid), default=2)
         bound = min(bound + (bound % 2), 8)
         bound = max(bound, 2)
-    enumerated = {c.polynomial.coeffs for c in enumerate_weil(ctx, bound)}
+    enumerated = {c.polynomial.coeffs for c in _enumerate_weil(ctx, bound)}
     file_polys = {c.polynomial.coeffs for c in valid}
     unknown = sorted(p for p in file_polys if p not in enumerated)
     missing = sorted(p for p in enumerated if p not in file_polys)

