@@ -68,7 +68,8 @@ def lift_factorization(f, parts, p, k):
     Returns the list of monic lifts mod p^k, in the order given.  f must be
     monic with integer coefficients.  The parts are pairwise coprime exactly
     when each is coprime to the product of the later ones, the cofactor its
-    lifting step splits off, so that step's Bezout t decides it.
+    lifting step splits off, so that step's Bezout t decides it: parts
+    that are not coprime mod p raise ValueError.
     """
     q = p ** k
     norm = [tuple(gp.gf_normal(pt, p)) for pt in parts]
@@ -76,17 +77,8 @@ def lift_factorization(f, parts, p, k):
     for pt in reversed(norm):
         cofactors.insert(0, tuple(gp.gf_mul(pt, cofactors[0], p)))
     steps = list(zip(norm, cofactors[1:]))[:-1]
-    try:
-        for g0, h0 in steps:
-            _xgcd_poly(g0, h0, p)
-    except ValueError:
-        # accept parts given at full precision that multiply back exactly
-        prod_k = [1]
-        for pt in parts:
-            prod_k = gp.gf_mul(pt, prod_k, q)
-        if prod_k == gp.gf_normal(f, q):
-            return [gp.gf_normal(pt, q) for pt in parts]
-        raise
+    for g0, h0 in steps:
+        _xgcd_poly(g0, h0, p)
     if list(cofactors[0]) != gp.gf_normal(f, p):
         raise ValueError("parts do not multiply to f mod p")
     out = []

@@ -8,6 +8,10 @@ congruence into a fiber product of colength one; and the endomorphism
 order of the glued object is the same congruence order globally, with
 center Z[ip].  Everything here is verified by exact computation, not
 assumed.
+
+A matrix [[a, b], [c, d]] of M_2(Z[i]) is always given by its 8 integer
+coordinates (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im), and every
+product, membership and semilinearity check runs on them.
 """
 
 from __future__ import annotations
@@ -17,192 +21,17 @@ from itertools import product
 from operator import mul
 
 from .checks import VerificationError, verify as _verify
-from .intmatrix import IntegerMatrix, det, hermite_rows, kernel_basis, rref_mod_p
+from .intmatrix import (
+    IntegerMatrix,
+    det,
+    hermite_rows,
+    kernel_basis,
+    nullspace_mod_p,
+    rref_mod_p,
+)
 
 
-class GaussInt:
-    """Gaussian integer a + b*i."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", int(re))
-        object.__setattr__(self, "im", int(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return GaussInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return GaussInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussInt(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def conj(self):
-        return GaussInt(self.re, -self.im)
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return "GaussInt(%d, %d)" % (self.re, self.im)
-
-
-I_UNIT = GaussInt(0, 1)
-
-
-def _coerce(x):
-    if isinstance(x, GaussInt):
-        return x
-    if isinstance(x, int):
-        return GaussInt(x, 0)
-    raise TypeError("GaussInt or int expected")
-
-
-def mat_mul(m1, m2):
-    (a1, b1), (c1, d1) = m1
-    (a2, b2), (c2, d2) = m2
-    return (
-        (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2),
-        (c1 * a2 + d1 * c2, c1 * b2 + d1 * d2),
-    )
-
-
-def mat_add(m1, m2):
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2))
-
-
-def mat_eq(m1, m2):
-    return all(x == y for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2))
-
-
-def psi_frobenius(p):
-    return ((GaussInt(0), GaussInt(1)), (GaussInt(0, p), GaussInt(0)))
-
-
-def psi_verschiebung(p):
-    return ((GaussInt(0), GaussInt(0, -1)), (GaussInt(p), GaussInt(0)))
-
-
-ZERO_MAT = ((GaussInt(0), GaussInt(0)), (GaussInt(0), GaussInt(0)))
-
-
-def _diag(a, b):
-    return ((a, GaussInt(0)), (GaussInt(0), b))
-
-
-# -- symbolic semilinearity check -------------------------------------------
-
-
-class _SymGauss:
-    """Element of Z[i][A, Abar]: keys (deg_A, deg_Abar) -> GaussInt; the
-    conjugation swaps A with Abar and conjugates coefficients."""
-
-    def __init__(self, terms):
-        self.terms = {k: v for k, v in terms.items() if v != GaussInt(0)}
-
-    @classmethod
-    def const(cls, g):
-        return cls({(0, 0): _coerce(g)})
-
-    @classmethod
-    def sym_a(cls):
-        return cls({(1, 0): GaussInt(1)})
-
-    def conj(self):
-        return _SymGauss({(j, i): v.conj() for (i, j), v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, GaussInt(0)) + v
-        return _SymGauss(out)
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, GaussInt(0)) + v1 * v2
-        return _SymGauss(out)
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-
-def verify_psi_relations(p):
-    """psi(F) psi(V) = p, psi(F)^2 + psi(V)^2 = 0, and sigma-semilinearity
-    psi(F) diag(a, conj a) = diag(conj a, a) psi(F) with a symbolic."""
-    if p % 4 != 3:
-        raise ValueError("p = 3 mod 4 required")
-    f = psi_frobenius(p)
-    v = psi_verschiebung(p)
-    _verify(mat_eq(mat_mul(f, v), _diag(GaussInt(p), GaussInt(p))), "psi(F) psi(V) != p")
-    _verify(mat_eq(mat_mul(v, f), _diag(GaussInt(p), GaussInt(p))), "psi(V) psi(F) != p")
-    _verify(mat_eq(mat_add(mat_mul(f, f), mat_mul(v, v)), ZERO_MAT), "psi(F)^2 + psi(V)^2 != 0")
-    # symbolic check over Z[i][A, Abar]
-    a = _SymGauss.sym_a()
-    abar = a.conj()
-    zero = _SymGauss({})
-
-    def sym_mat_mul(m1, m2):
-        out = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                acc = zero
-                for t in range(2):
-                    acc = acc + m1[i][t] * m2[t][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-    f_sym = tuple(tuple(_SymGauss.const(x) for x in row) for row in f)
-    v_sym = tuple(tuple(_SymGauss.const(x) for x in row) for row in v)
-    diag_a = ((a, zero), (zero, abar))
-    diag_abar = ((abar, zero), (zero, a))
-    for name, m in (("psi(F)", f_sym), ("psi(V)", v_sym)):
-        left = sym_mat_mul(m, diag_a)
-        right = sym_mat_mul(diag_abar, m)
-        for i in range(2):
-            for j in range(2):
-                _verify(left[i][j] == right[i][j], "%s is not sigma-semilinear" % name)
-    return True
-
-
-# -- integer coordinates of M_2(Z[i]) ---------------------------------------
-# coordinate order: (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
-
-
-def matrix_to_coords(m):
-    (a, b), (c, d) = m
-    return (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
-
-
-def coords_to_matrix(v):
-    return (
-        (GaussInt(v[0], v[1]), GaussInt(v[2], v[3])),
-        (GaussInt(v[4], v[5]), GaussInt(v[6], v[7])),
-    )
+# -- M_2(Z[i]) on its 8 integer coordinates ----------------------------------
 
 
 def _coord_mul(x, y):
@@ -220,6 +49,45 @@ def _coord_mul(x, y):
         cr * fr - ci * fi + dr * hr - di * hi,
         cr * fi + ci * fr + dr * hi + di * hr,
     )
+
+
+def psi_frobenius(p):
+    """psi(F) = [[0, 1], [ip, 0]]."""
+    return (0, 0, 1, 0, 0, p, 0, 0)
+
+
+def psi_verschiebung(p):
+    """psi(V) = [[0, -i], [p, 0]]."""
+    return (0, 0, 0, -1, p, 0, 0, 0)
+
+
+_DIAG_I = (0, 1, 0, 0, 0, 0, 0, -1)  # diag(i, conj i)
+_DIAG_I_CONJ = (0, -1, 0, 0, 0, 0, 0, 1)  # diag(conj i, i)
+
+
+def _semilinear(m):
+    """m diag(a, conj a) = diag(conj a, a) m for every a in Z[i].  Both sides
+    are Z-linear in a, so the Z-basis {1, i} of Z[i] settles it; a = 1 holds
+    for every m, which leaves the one pair of products at a = i."""
+    return _coord_mul(m, _DIAG_I) == _coord_mul(_DIAG_I_CONJ, m)
+
+
+def verify_psi_relations(p):
+    """psi(F) psi(V) = psi(V) psi(F) = p, psi(F)^2 + psi(V)^2 = 0, and the
+    sigma-semilinearity psi(F) diag(a, conj a) = diag(conj a, a) psi(F) of
+    both generators, checked on the Z-basis {1, i} of a (see `_semilinear`)."""
+    if p % 4 != 3:
+        raise ValueError("p = 3 mod 4 required")
+    f = psi_frobenius(p)
+    v = psi_verschiebung(p)
+    scalar_p = (p, 0, 0, 0, 0, 0, p, 0)
+    _verify(_coord_mul(f, v) == scalar_p, "psi(F) psi(V) != p")
+    _verify(_coord_mul(v, f) == scalar_p, "psi(V) psi(F) != p")
+    squares = zip(_coord_mul(f, f), _coord_mul(v, v))
+    _verify(not any(x + y for x, y in squares), "psi(F)^2 + psi(V)^2 != 0")
+    for name, m in (("psi(F)", f), ("psi(V)", v)):
+        _verify(_semilinear(m), "%s is not sigma-semilinear" % name)
+    return True
 
 
 def _congruent(x, p):
@@ -243,9 +111,9 @@ class OrderPresentation:
         pivots = [(next(j for j, c in enumerate(r) if c), r) for r in self.basis if any(r)]
         object.__setattr__(self, "_pivots", tuple(sorted(pivots)))
 
-    def _spans(self, coords):
-        """Whether the integer coordinates lie in the Z-span of the basis:
-        exact back-substitution on the echelon rows."""
+    def contains(self, coords):
+        """Whether a matrix, given by its 8 integer coordinates, lies in the
+        order: exact back-substitution on the echelon rows of the basis."""
         work = list(coords)
         for col, row in self._pivots:
             c, rem = divmod(work[col], row[col])
@@ -255,10 +123,6 @@ class OrderPresentation:
                 for j in range(col, len(work)):
                     work[j] -= c * row[j]
         return not any(work)
-
-    def contains(self, m):
-        """Membership via exact solve against the HNF basis."""
-        return self._spans(matrix_to_coords(m))
 
 
 def _congruence_lattice(p):
@@ -299,7 +163,7 @@ def dieudonne_matrix_order(p):
         for y in rows:
             prod = _coord_mul(x, y)
             _verify(_congruent(prod, p), "order not closed")
-            _verify(order._spans(prod), "product escapes the lattice")
+            _verify(order.contains(prod), "product escapes the lattice")
     # the generators psi(F), psi(V) lie in the order
     _verify(order.contains(psi_frobenius(p)), "psi(F) is not in the order")
     _verify(order.contains(psi_verschiebung(p)), "psi(V) is not in the order")
@@ -442,27 +306,21 @@ def standard_module_action(p):
         raise ValueError("p = 3 mod 4 required")
 
     def as_real_matrix(m):
-        # columns act on (x1.re, x1.im, x2.re, x2.im)
+        # columns act on (x1.re, x1.im, x2.re, x2.im): the first column of
+        # m x, where x holds x1 and x2 in its first column and zeros in the
+        # second
         cols = []
-        for j in range(2):
-            for part in (GaussInt(1), GaussInt(0, 1)):
-                vec = [GaussInt(0), GaussInt(0)]
-                vec[j] = part
-                img = [
-                    m[0][0] * vec[0] + m[0][1] * vec[1],
-                    m[1][0] * vec[0] + m[1][1] * vec[1],
-                ]
-                cols.append(
-                    (img[0].re % p, img[0].im % p, img[1].re % p, img[1].im % p)
-                )
-        return tuple(
-            tuple(cols[j][i] for j in range(4)) for i in range(4)
-        )
+        for k in (0, 1, 4, 5):
+            x = [0] * 8
+            x[k] = 1
+            y = _coord_mul(m, x)
+            cols.append((y[0] % p, y[1] % p, y[4] % p, y[5] % p))
+        return tuple(zip(*cols))
 
     gens = [
         as_real_matrix(psi_frobenius(p)),
         as_real_matrix(psi_verschiebung(p)),
-        as_real_matrix(_diag(GaussInt(0, 1), GaussInt(0, -1))),  # a = i, conj
+        as_real_matrix(_DIAG_I),
     ]
     return LatticeModP(p=p, dim=4, generators=tuple(gens))
 
@@ -499,6 +357,8 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
     if len(map2) != m:
         raise ValueError("quotient targets differ")
     for mp, n in ((map1, n1), (map2, n2)):
+        if any(len(r) != n for r in mp):
+            raise ValueError("quotient map rows need one entry per basis row")
         ech, _ = rref_mod_p([list(r) for r in mp], p)
         if len(ech) != m:
             raise ValueError("quotient map not surjective")
@@ -512,8 +372,6 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
         row[i] = p
         gens.append(row)
     # kernel representatives of the difference map
-    from .intmatrix import nullspace_mod_p
-
     diff_rows = []
     for t in range(m):
         diff_rows.append(
@@ -575,14 +433,11 @@ def glued_lattice(p, order=None):
     # cross-check: the pullback (in lattice coordinates) equals the column
     # splitting of the congruence order
     cols = []
-    for row in order.basis:
-        (a, b), (c, d) = coords_to_matrix(row)
+    for ar, ai, br, bi, cr, ci, dr, di in order.basis:
         # first column (a, c) in lattice-1 coordinates, second (b, d) in
         # lattice-2 coordinates
-        _verify(c.re % p == 0 and c.im % p == 0, "order row has p not dividing c")
-        cols.append(
-            (a.re, a.im, c.re // p, c.im // p, b.re, b.im, d.re, d.im)
-        )
+        _verify(cr % p == 0 and ci % p == 0, "order row has p not dividing c")
+        cols.append((ar, ai, cr // p, ci // p, br, bi, dr, di))
     _verify(
         hermite_rows(cols) == hermite_rows(report.basis),
         "fiber product does not match the order columns",

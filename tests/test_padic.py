@@ -106,23 +106,18 @@ def test_witt_inverse():
 def test_hensel_split_examples():
     assert lift_factorization(P(0, 1, 1).coeffs, [[0, 1], [1, 1]], 3, 2) == [[0, 1], [1, 1]]
     assert lift_factorization(P(-1, 0, 1).coeffs, [[6, 1], [1, 1]], 7, 2) == [[48, 1], [1, 1]]
-    # exact parts at full precision, congruent mod 5
-    out = lift_factorization(P(6, -7, 1).coeffs, [[-1, 1], [-6, 1]], 5, 2)
-    assert out == [[24, 1], [19, 1]]
-    prod = [1]
-    from weilkit.gfpoly import gf_mul
-
-    for f in out:
-        prod = gf_mul(f, prod, 25)
-    assert prod == [6, 18, 1]  # x^2 - 7x + 6 mod 25
+    # exact parts at full precision, congruent mod 5, are not coprime mod 5
+    with pytest.raises(ValueError, match="factors not coprime mod p"):
+        lift_factorization(P(6, -7, 1).coeffs, [[-1, 1], [-6, 1]], 5, 2)
 
 
 def test_hensel_split_rejects_noncoprime():
     # congruent parts that do not multiply back exactly are refused
     with pytest.raises(ValueError, match="coprime"):
         lift_factorization(P(1, 2, 1).coeffs, [[2, 1], [2, 1]], 3, 3)
-    # congruent parts multiplying back exactly are passed through
-    assert lift_factorization(P(1, 2, 1).coeffs, [[1, 1], [1, 1]], 3, 3) == [[1, 1], [1, 1]]
+    # so are congruent parts that multiply back exactly
+    with pytest.raises(ValueError, match="factors not coprime mod p"):
+        lift_factorization(P(1, 2, 1).coeffs, [[1, 1], [1, 1]], 3, 3)
 
 
 def test_hensel_split_random_reconstruction():

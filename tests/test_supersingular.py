@@ -7,25 +7,135 @@ from pathlib import Path
 import pytest
 
 from weilkit.supersingular import (
-    GaussInt,
     LatticeModP,
     VerificationError,
     _congruent,
+    _coord_mul,
+    _semilinear,
     center_index_in_gaussian_scalars,
-    coords_to_matrix,
     dieudonne_matrix_order,
     endomorphism_order,
     enumerate_stable_lattices,
     fiber_product_lattice,
     glued_lattice,
     lattice_class_count,
-    mat_mul,
-    matrix_to_coords,
     psi_frobenius,
     psi_verschiebung,
     standard_module_action,
     verify_psi_relations,
 )
+
+
+# -- reference model: 2x2 matrices of Gaussian integers ----------------------
+
+
+class GaussInt:
+    """Gaussian integer a + b*i."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = int(re)
+        self.im = int(im)
+
+    def __add__(self, other):
+        return GaussInt(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        return GaussInt(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def conj(self):
+        return GaussInt(self.re, -self.im)
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+
+def mat_mul(m1, m2):
+    (a1, b1), (c1, d1) = m1
+    (a2, b2), (c2, d2) = m2
+    return (
+        (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2),
+        (c1 * a2 + d1 * c2, c1 * b2 + d1 * d2),
+    )
+
+
+def matrix_to_coords(m):
+    (a, b), (c, d) = m
+    return (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
+
+
+def coords_to_matrix(v):
+    return (
+        (GaussInt(v[0], v[1]), GaussInt(v[2], v[3])),
+        (GaussInt(v[4], v[5]), GaussInt(v[6], v[7])),
+    )
+
+
+class SymGauss:
+    """Element of Z[i][A, Abar]: keys (deg_A, deg_Abar) -> GaussInt; the
+    conjugation swaps A with Abar and conjugates coefficients."""
+
+    def __init__(self, terms):
+        self.terms = {k: v for k, v in terms.items() if v != GaussInt(0)}
+
+    @classmethod
+    def const(cls, g):
+        return cls({(0, 0): g})
+
+    @classmethod
+    def sym_a(cls):
+        return cls({(1, 0): GaussInt(1)})
+
+    def conj(self):
+        return SymGauss({(j, i): v.conj() for (i, j), v in self.terms.items()})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, GaussInt(0)) + v
+        return SymGauss(out)
+
+    def __mul__(self, other):
+        out = {}
+        for (i1, j1), v1 in self.terms.items():
+            for (i2, j2), v2 in other.terms.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, GaussInt(0)) + v1 * v2
+        return SymGauss(out)
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+def symbolically_semilinear(m):
+    """m diag(A, conj A) = diag(conj A, A) m over Z[i][A, Abar], A symbolic."""
+    a = SymGauss.sym_a()
+    zero = SymGauss({})
+    sym = tuple(tuple(SymGauss.const(x) for x in row) for row in m)
+    left = mat_mul(sym, ((a, zero), (zero, a.conj())))
+    right = mat_mul(((a.conj(), zero), (zero, a)), sym)
+    return all(x == y for r1, r2 in zip(left, right) for x, y in zip(r1, r2))
+
+
+def run_in_both_modes(script):
+    """stdout of `script` under plain python and under `python -O`."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    return outs
 
 
 def test_gauss_arithmetic():
@@ -42,6 +152,53 @@ def test_psi_relations():
         verify_psi_relations(5)
     with pytest.raises(ValueError):
         verify_psi_relations(2)
+    for p in (3, 7):
+        f = ((GaussInt(0), GaussInt(1)), (GaussInt(0, p), GaussInt(0)))
+        v = ((GaussInt(0), GaussInt(0, -1)), (GaussInt(p), GaussInt(0)))
+        assert psi_frobenius(p) == matrix_to_coords(f)
+        assert psi_verschiebung(p) == matrix_to_coords(v)
+
+
+def test_semilinearity_basis_check_matches_symbolic_oracle():
+    """Checking a = 1 and a = i decides sigma-semilinearity for every a: the
+    symbolic check over Z[i][A, Abar] agrees on 600 seeded matrices, half of
+    them with a = d = 0, which are exactly the semilinear ones."""
+    rng = random.Random(53)
+    semilinear = 0
+    for k in range(600):
+        x = [rng.randint(-9, 9) for _ in range(8)]
+        if k % 2:
+            x[0] = x[1] = x[6] = x[7] = 0
+        want = symbolically_semilinear(coords_to_matrix(x))
+        assert _semilinear(x) == want == (x[0] == x[1] == x[6] == x[7] == 0)
+        semilinear += want
+    assert semilinear >= 300
+
+
+def test_non_semilinear_psi_is_rejected():
+    """psi(F) = [[1, 1], [ip - 1, -1]] with psi(V) = -i psi(F) passes
+    FV = VF = p and F^2 + V^2 = 0 but is not sigma-semilinear; the check
+    raises under `python -O` too."""
+    p = 7
+    f = (1, 0, 1, 0, -1, p, -1, 0)
+    v = (0, -1, 0, -1, p, 1, 0, 1)
+    minus_i = coords_to_matrix((0, -1, 0, 0, 0, 0, 0, -1))
+    assert v == matrix_to_coords(mat_mul(minus_i, coords_to_matrix(f)))
+    assert _coord_mul(f, v) == _coord_mul(v, f) == (p, 0, 0, 0, 0, 0, p, 0)
+    assert not any(x + y for x, y in zip(_coord_mul(f, f), _coord_mul(v, v)))
+    script = (
+        "import weilkit.supersingular as ss\n"
+        "ss.psi_frobenius = lambda p: (1, 0, 1, 0, -1, p, -1, 0)\n"
+        "ss.psi_verschiebung = lambda p: (0, -1, 0, -1, p, 1, 0, 1)\n"
+        "try:\n"
+        "    ss.verify_psi_relations(7)\n"
+        "except ss.VerificationError as e:\n"
+        "    print('raised:', e)\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    for out in run_in_both_modes(script):
+        assert out == "raised: psi(F) is not sigma-semilinear\n"
 
 
 def test_matrix_order_index():
@@ -54,7 +211,8 @@ def test_matrix_order_index():
 
 def congruence_predicate(m, p):
     """p | c and a = conj(d) mod p, for the matrix m = [[a, b], [c, d]]."""
-    return _congruent(matrix_to_coords(m), p)
+    (a, _), (c, d) = m
+    return c.re % p == 0 and c.im % p == 0 and (a.re - d.re) % p == 0 and (a.im + d.im) % p == 0
 
 
 def test_predicate_closure_probe():
@@ -74,7 +232,7 @@ def test_predicate_closure_probe():
             continue
         prod = mat_mul(m, m2)
         assert congruence_predicate(prod, p)
-        assert order.contains(m) and order.contains(prod)
+        assert order.contains(coords) and order.contains(matrix_to_coords(prod))
 
 
 def test_predicate_and_lattice_agree():
@@ -83,15 +241,12 @@ def test_predicate_and_lattice_agree():
     order = dieudonne_matrix_order(p)
     for _ in range(1000):
         coords = [rng.randint(-(p ** 2), p ** 2) for _ in range(8)]
-        m = coords_to_matrix(coords)
-        assert order.contains(m) == congruence_predicate(m, p)
+        assert order.contains(coords) == congruence_predicate(coords_to_matrix(coords), p)
 
 
 def test_integer_coordinates_match_gaussian_matrices():
     """The order checks multiply and test the predicate on the 8 integer
     coordinates; GaussInt matrix arithmetic is the reference."""
-    from weilkit.supersingular import _congruent, _coord_mul
-
     rng = random.Random(29)
     for _ in range(500):
         p = rng.choice((3, 7, 11))
@@ -100,9 +255,7 @@ def test_integer_coordinates_match_gaussian_matrices():
             x[4], x[5], x[6], x[7] = p * x[4], p * x[5], x[0] + p * x[6], -x[1] + p * x[7]
         mx, my = coords_to_matrix(x), coords_to_matrix(y)
         assert _coord_mul(x, y) == matrix_to_coords(mat_mul(mx, my))
-        (a, _), (c, d) = mx
-        want = c.re % p == 0 and c.im % p == 0 and (a.re - d.re) % p == 0 and (a.im + d.im) % p == 0
-        assert _congruent(x, p) == want
+        assert _congruent(x, p) == congruence_predicate(mx, p)
 
 
 def test_endomorphism_order_center():
@@ -214,6 +367,15 @@ def test_fiber_product_rejects_mismatch():
         fiber_product_lattice(
             [(1, 0), (0, 1)], [[0, 0]], [(1, 0), (0, 1)], [[0, 0]], p, 1
         )
+    # every row of map_i needs one entry per row of basis_i: a wider row once
+    # passed as a map that is zero on the lattice, a shorter one raised
+    # IndexError
+    basis = [(1, 0), (0, 1)]
+    for wrong in ([[0, 0, 1]], [[1]]):
+        with pytest.raises(ValueError, match="one entry per basis row"):
+            fiber_product_lattice(basis, wrong, basis, [[1, 0]], p, 1)
+        with pytest.raises(ValueError, match="one entry per basis row"):
+            fiber_product_lattice(basis, [[1, 0]], basis, wrong, p, 1)
 
 
 def test_checks_survive_optimized_mode():
@@ -232,15 +394,6 @@ def test_checks_survive_optimized_mode():
         "else:\n"
         "    print('returned')\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    for flags in ([], ["-O"]):
-        done = subprocess.run(
-            [sys.executable, *flags, "-c", script],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "raised: index is 243, expected p^4\n", flags
+    for out in run_in_both_modes(script):
+        assert out == "raised: index is 243, expected p^4\n"
     assert issubclass(VerificationError, AssertionError)
