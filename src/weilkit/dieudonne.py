@@ -194,26 +194,6 @@ class DieudonneAlgebra:
             images.append(self.element_for_index(sign * self.r * int(power or 1)))
         return order, images
 
-    def export(self):
-        table = []
-        for si in range(self.slots):
-            row = []
-            for sj in range(self.slots):
-                prod = self.mul(
-                    self.basis_element(self.index_of_slot(si)),
-                    self.basis_element(self.index_of_slot(sj)),
-                )
-                row.append([list(c) for c in prod])
-            table.append(row)
-        return {
-            "q": self.weil_set.context.q,
-            "polys": [list(c.polynomial.coeffs) for c in self.weil_set.classes],
-            "k": self.k,
-            "N": self.n_bound,
-            "witt_modulus": list(self.witt.modulus),
-            "structure_constants": table,
-        }
-
 
 def build_dieudonne(weil_set, precision):
     """Construct the algebra and verify its structural invariants."""

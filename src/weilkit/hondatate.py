@@ -17,7 +17,7 @@ from math import lcm
 from .checks import verify
 from .intpoly import IntPolynomial
 from . import padic
-from .padic import decompose_places, digit_map
+from .padic import digit_map
 from .weil import GlobalContext, WeilClass, classify_slopes, slope_type, validate_weil
 
 
@@ -53,9 +53,10 @@ def honda_tate_record(cls):
     """Invariants of one Weil class; raises IrregularPlacesError when its
     place data fails the degree or valuation-sum check."""
     ctx = cls.context
-    found = _regular_fields(ctx.p, ctx.r, digit_map(cls.polynomial, ctx.p), cls.is_real)
+    digits = digit_map(cls.polynomial, ctx.p)
+    found = _regular_fields(ctx.p, ctx.r, digits, cls.is_real)
     if found is None:
-        places = tuple(decompose_places(cls.polynomial, ctx.p, ctx.r))
+        places = tuple(padic._places(cls.polynomial, ctx.p, ctx.r, digits))
         found = places, _fields(places, ctx.r, cls.is_real, cls.degree)
     return HondaTateRecord(cls, found[0], *found[1])
 

@@ -481,7 +481,11 @@ def decompose_places(poly, p, r):
     The Newton route runs once at the working precision; a class it cannot
     finish goes to the exact p-maximal-order route, which needs no precision.
     """
-    digits = digit_map(poly, p)
+    return _places(poly, p, r, digit_map(poly, p))
+
+
+def _places(poly, p, r, digits):
+    """`decompose_places` on the class's `digit_map`, read once per record."""
     v0 = digits[0][1][0]
     try:
         places = _regular_places(p, r, digits)

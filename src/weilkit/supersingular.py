@@ -7,7 +7,7 @@ there are exactly two lattice classes in the standard module, glued by a
 congruence into a fiber product of colength one; and the endomorphism
 order of the glued object is the same congruence order globally, with
 center Z[ip].  Everything here is verified by exact computation, not
-assumed.
+assumed; the lattices come from one cyclic submodule per F_(p^2)-line.
 
 A matrix [[a, b], [c, d]] of M_2(Z[i]) is always given by its 8 integer
 coordinates (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im), and every
@@ -238,16 +238,46 @@ class LatticeModP:
         return tuple(sum(map(mul, row, v)) % self.p for row in g)
 
 
+def _line_seeds(action):
+    """One vector per line of F_p^dim over a field F in the generated algebra:
+    F = F_p[g] = F_(p^2) if p = 3 mod 4 and a generator g has g^2 = -1, on an
+    F_(p^2)-basis b greedy over the unit vectors e (the span of the blocks
+    (b, g b) so far is g-stable, so a new e adds two dimensions); else F_p."""
+    p, n = action.p, action.dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    blocks = [(e,) for e in units]
+    for g in action.generators if p % 4 == 3 and n % 2 == 0 else ():
+        # g e_j is column j of g
+        if all(action.act(g, ge) == tuple(-x % p for x in e) for e, ge in zip(units, zip(*g))):
+            blocks, span = [], []
+            for e, ge in zip(units, zip(*g)):
+                if list(e) not in span:  # reduced echelon rows span e iff e is one
+                    blocks.append((e, ge))
+                    span, _ = rref_mod_p(span + [e, ge], p)
+            _verify(len(span) == n == 2 * len(blocks), "g^2 = -1 blocks are no basis")
+            break
+    # a block's first vector plus an F_p-combination of the later blocks'
+    for k, block in enumerate(blocks):
+        cols = list(zip(block[0], *(v for b in blocks[k + 1:] for v in b)))
+        for tail in product(range(p), repeat=len(cols[0]) - 1):
+            yield [sum(map(mul, (1,) + tail, col)) % p for col in cols]
+
+
 def enumerate_stable_lattices(action):
     """All subspaces of F_p^dim stable under every generator; returns
     (all_subspaces, proper_nontrivial), each as canonical echelon-row tuples.
 
-    Every stable W is the sum of the cyclic submodules C(w), w in W; C(w)
-    depends only on the line through w; and a sum of stable subspaces is
-    stable.  So C(v) is closed once per projective point v (first nonzero
-    coordinate 1), and closing {0} under sums with these C(v) yields every
-    stable subspace and nothing else (the submodule-lattice method of
-    Lux-Mueller-Ringe, J. Symbolic Comput. 17, 1994).
+    Every stable W is the sum of the cyclic submodules C(w) = A w, w in W, A
+    the algebra the generators span, and sums of stable subspaces are stable,
+    so closing {0} under sums with the C(v) yields the stable subspaces (the
+    submodule-lattice method of Lux-Mueller-Ringe, J. Symbolic Comput. 17,
+    1994).  C(v) is closed once per line over a field F in A (`_line_seeds`):
+    for u != 0 in F, C(u v) = A u v lies in C(v) and v = u^-1 (u v) lies in
+    C(u v).  F = F_p gives the projective points; if p = 3 mod 4 and a
+    generator g has g^2 = -1 (the scalar i of `standard_module_action`),
+    x^2 + 1 is irreducible mod p and F = F_p[g] is F_(p^2): at dim 4 the
+    p^2 + 1 lines (1, z), z in F_(p^2), and (0, 1) replace p^3 + p^2 + p + 1
+    projective points, so the cost grows as p^2.
     """
     if action.dim > 10:
         raise ValueError("ambient dimension capped at 10")
@@ -280,13 +310,9 @@ def enumerate_stable_lattices(action):
                 todo.extend(action.act(g, w) for g in action.generators)
         return canon([r for _, r in rows])
 
-    cyclics = {
-        cyclic((0,) * k + (1,) + tail)
-        for k in range(n)
-        for tail in product(range(p), repeat=n - k - 1)
-    }
-    found = {()}
-    queue = [()]
+    cyclics = {cyclic(v) for v in _line_seeds(action)}
+    found = {()} | cyclics
+    queue = list(cyclics)
     while queue:
         base = queue.pop()
         for c in cyclics:
@@ -317,19 +343,14 @@ def standard_module_action(p):
             cols.append((y[0] % p, y[1] % p, y[4] % p, y[5] % p))
         return tuple(zip(*cols))
 
-    gens = [
-        as_real_matrix(psi_frobenius(p)),
-        as_real_matrix(psi_verschiebung(p)),
-        as_real_matrix(_DIAG_I),
-    ]
-    return LatticeModP(p=p, dim=4, generators=tuple(gens))
+    gens = (psi_frobenius(p), psi_verschiebung(p), _DIAG_I)
+    return LatticeModP(p=p, dim=4, generators=tuple(map(as_real_matrix, gens)))
 
 
 def lattice_class_count(p):
     """Number of homothety classes of stable lattices in the standard
     module: one for the full lattice plus one per proper stable subspace."""
-    action = standard_module_action(p)
-    _, proper = enumerate_stable_lattices(action)
+    _, proper = enumerate_stable_lattices(standard_module_action(p))
     return 1 + len(proper), proper
 
 

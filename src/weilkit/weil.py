@@ -296,11 +296,6 @@ def _from_trace(trace_coeffs, columns):
     return IntPolynomial([sum(map(mul, trace_coeffs, col)) for col in columns])
 
 
-def weil_polynomial_from_trace(trace_poly, q):
-    """x^d Q(x + q/x) expanded: sum of b_j x^(d - j) (x^2 + q)^j."""
-    return _from_trace(trace_poly.coeffs, _trace_columns(trace_poly.degree, q))
-
-
 # -- validation ------------------------------------------------------------
 
 

@@ -111,22 +111,24 @@ def test_example_sec9_caps_p(capsys):
     assert doc == {
         "schema": "weilkit/1",
         "command": "example-sec9",
-        "error": "p must be at most 23",
+        "error": "p must be at most 127",
     }
-    code, doc, _ = invoke(capsys, "--no-cache", "example-sec9", "--p", "23")
+    code, doc, _ = invoke(capsys, "--no-cache", "example-sec9", "--p", "127")
     assert code == 0
-    assert doc["order_index"] == 23 ** 4
-    assert doc["fiber_product"] == {"index": 23 ** 2, "witt_colength": 1}
+    assert doc["order_index"] == 127 ** 4
+    assert doc["fiber_product"] == {"index": 127 ** 2, "witt_colength": 1}
 
 
 # sha256 of the stdout of `--no-cache example-sec9 --p P`, measured before the
 # stable-lattice engine moved to cyclic submodules (p = 19: before the engine
-# moved to integer rows and one Hermite core)
+# moved to integer rows and one Hermite core; p = 43: with one cyclic
+# submodule per projective point and the p cap lifted)
 SEC9_DIGESTS = {
     3: "1d380a9fb932398d30fcd76c09371f1f87c59909c517b6a2a9117cae2758f846",
     7: "8e82e2f1ffe184dbee7d13548782ad6f1a8f6626d15b6fef63b9d6f999cdcc66",
     11: "1cdc8306a07475e54659577476df076869631834f8e84400e15ea586853be453",
     19: "419693b97eaf645c13674081d5769a39b81f8369156579e96f7a12d8e66191de",
+    43: "913fca649a81e0322464b74d2a242d90ab4aa7af4343a9ffb35c2e5bc8b3c325",
 }
 
 

@@ -1,11 +1,11 @@
 """Oracle test for the trace-to-Weil expansion P(x) = x^d Q(x + q/x).
 
-`weil.weil_polynomial_from_trace` and `enumerate_weil` sum b_j times
+`weil_polynomial_from_trace` below and `enumerate_weil` sum b_j times
 integer rows of x^(d - j) (x^2 + q)^j that are built once per degree.  The
 oracle below is the earlier expansion, kept verbatim: `IntPolynomial`
 products and sums, one term at a time.  The inputs are every candidate trace
 polynomial of the 14 acceptance-grid cells, the set that
-`test_intpoly_oracle` walks, through both the public function and the
+`test_intpoly_oracle` walks, through both the helper and the
 per-degree rows that `enumerate_weil` shares, and seeded random polynomials
 with zero, negative and non-unit coefficients.
 """
@@ -13,14 +13,15 @@ with zero, negative and non-unit coefficients.
 import random
 
 from weilkit.intpoly import IntPolynomial
-from weilkit.weil import (
-    _from_trace,
-    _trace_columns,
-    _trace_polys_degree,
-    weil_polynomial_from_trace,
-)
+from weilkit.weil import _from_trace, _trace_columns, _trace_polys_degree
 
 GRID = [(2, 6), (3, 6), (4, 6), (9, 6), (32, 4)]
+
+
+def weil_polynomial_from_trace(trace_poly, q):
+    """x^d Q(x + q/x) expanded on the per-degree rows of `enumerate_weil`:
+    sum of b_j x^(d - j) (x^2 + q)^j."""
+    return _from_trace(trace_poly.coeffs, _trace_columns(trace_poly.degree, q))
 
 
 def old_weil_polynomial_from_trace(trace_poly, q):

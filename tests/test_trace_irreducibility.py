@@ -21,8 +21,9 @@ from weilkit.weil import (
     enumerate_weil,
     trace_polynomial,
     validate_weil,
-    weil_polynomial_from_trace,
 )
+
+from test_trace_expansion_oracle import weil_polynomial_from_trace
 
 CELLS = ((2, 6), (3, 4), (4, 4), (9, 4), (32, 2))
 

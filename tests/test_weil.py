@@ -18,11 +18,12 @@ from weilkit.weil import (
     symmetric_polynomial,
     trace_polynomial,
     validate_weil,
-    weil_polynomial_from_trace,
     weil_set,
     _integer_root,
     _is_prime,
 )
+
+from test_trace_expansion_oracle import weil_polynomial_from_trace
 
 
 def P(*cs):
