@@ -5,7 +5,7 @@ including the fully explicit supersingular elliptic example engine."""
 __version__ = "0.1.0"
 
 from .intpoly import IntPolynomial, resultant, sturm_count
-from .intmatrix import IntegerMatrix, hermite_normal_form, smith_normal_form
+from .intmatrix import hermite_normal_form, smith_normal_form
 from .padic import (
     IrregularPlacesError,
     NewtonPolygon,

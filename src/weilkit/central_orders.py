@@ -22,26 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .checks import verify
-from .intmatrix import (
-    IntegerLattice,
-    IntegerMatrix,
-    det,
-    elementary_divisors,
-    mul_mod,
-    poly_mod,
-)
+from .intmatrix import IntegerLattice, det, hermite_rows, integer_rows, mul_mod, poly_mod
 from .tablering import table_product
 from .weil import WeilSet, weil_set
-
-
-def _integer_rows(vectors):
-    """(W, D): rows of ints and Fractions times their least common
-    denominator D."""
-    scale = lcm(*(c.denominator for row in vectors for c in row))
-    return [[c.numerator * (scale // c.denominator) for c in row] for row in vectors], scale
 
 
 @dataclass(frozen=True)
@@ -56,7 +41,7 @@ class CentralOrder:
     lattice: IntegerLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lattice = IntegerLattice(*_integer_rows(self.basis_vectors))
+        lattice = IntegerLattice(*integer_rows(self.basis_vectors))
         object.__setattr__(self, "lattice", lattice)
         if self.table is None:
             object.__setattr__(self, "table", lattice.closed_table(self.weil_set.polynomial))
@@ -172,8 +157,8 @@ def index_in(order, overorder_vectors):
     over = [[Fraction(c) for c in row] for row in overorder_vectors]
     if len(over) != d:
         raise ValueError("overorder basis has wrong rank")
-    rows, scale = _integer_rows(over)
-    det_over = det(IntegerMatrix(rows))
+    rows, scale = integer_rows(over)
+    det_over = det(rows)
     if det_over == 0:
         raise ValueError("singular basis matrix")
     lattice = order.lattice
@@ -198,18 +183,19 @@ def _image_coords(order_small, order_big):
 
 def quotient_map(w_small, w_big):
     """Matrix of the natural surjection R_{w_big} -> R_{w_small} on the
-    chosen bases; entries are integers and the elementary divisors are all 1."""
+    chosen bases, as integer rows.  The images of the basis of R_{w_big}
+    span Z^rank exactly when their Hermite form is the identity."""
     small_polys = {c.polynomial.coeffs for c in w_small.classes}
     big_polys = {c.polynomial.coeffs for c in w_big.classes}
     if not small_polys <= big_polys:
         raise ValueError("first set must be contained in the second")
     order_small = build_order(w_small)
     order_big = build_order(w_big)
-    matrix = IntegerMatrix(list(zip(*_image_coords(order_small, order_big))))
-    divisors = [d for d in elementary_divisors(matrix) if d != 0]
-    verify(len(divisors) == order_small.rank and all(d == 1 for d in divisors),
-           "quotient map not surjective")
-    return matrix
+    images = _image_coords(order_small, order_big)
+    rank = order_small.rank
+    identity = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    verify(hermite_rows(images) == identity, "quotient map not surjective")
+    return tuple(zip(*images))
 
 
 def product_embedding_index(cls_a, cls_b):
@@ -223,7 +209,7 @@ def product_embedding_index(cls_a, cls_b):
         a + b
         for a, b in zip(_image_coords(order_a, order_pair), _image_coords(order_b, order_pair))
     ]
-    index = abs(det(IntegerMatrix(rows)))
+    index = abs(det(rows))
     verify(index != 0, "classes share a factor")
     return index
 

@@ -206,13 +206,12 @@ def build_dieudonne(weil_set, precision):
     return alg
 
 
-def associativity_report(alg, with_witt_coefficient=True):
-    """Check (F_a F_b) F_c = F_a (F_b F_c) on all basis triples, plus a
-    sigma-twisted variant with the Witt generator inserted; returns the
-    number of triples checked."""
+def associativity_report(alg):
+    """Check (F_a F_b) F_c = F_a (F_b F_c) on all basis triples, plus, when
+    r > 1, a sigma-twisted variant with the Witt generator inserted; returns
+    the number of triples checked."""
     indices = range(-alg.n_bound, alg.n_bound)
     basis = {i: alg.basis_element(i) for i in indices}
-    t_elem = alg.basis_element(0, alg.witt.from_coords([0, 1] if alg.r > 1 else [1]))
     count = 0
     for a in indices:
         for b in indices:
@@ -222,7 +221,8 @@ def associativity_report(alg, with_witt_coefficient=True):
                 right = alg.mul(basis[a], alg.mul(basis[b], basis[c]))
                 verify(left == right, "associativity fails at (%d,%d,%d)" % (a, b, c))
                 count += 1
-    if with_witt_coefficient and alg.r > 1:
+    if alg.r > 1:
+        t_elem = alg.basis_element(0, alg.witt.from_coords([0, 1]))
         for a in indices:
             for b in indices:
                 tb = alg.mul(t_elem, basis[b])

@@ -113,40 +113,9 @@ def gf_pth_root(a, p):
 
 
 def is_irreducible(a, p):
-    """Rabin irreducibility test over F_p."""
-    n = len(a) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    a = gf_monic(a, p)
-    x = [0, 1]
-    # x^(p^n) == x mod a
-    h = x
-    for _ in range(n):
-        h = gf_pow_mod(h, p, a, p)
-    if gf_sub(h, x, p):
-        return False
-    for ell in sorted({f for f in _prime_factors(n)}):
-        h = x
-        for _ in range(n // ell):
-            h = gf_pow_mod(h, p, a, p)
-        if len(gf_gcd(gf_sub(h, x, p), a, p)) - 1 != 0:
-            return False
-    return True
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+    """Irreducibility over F_p: a squarefree a whose distinct-degree split
+    is one block of full degree."""
+    return degree_pattern(a, p) == [len(a) - 1]
 
 
 def lexicographically_smallest_irreducible(p, n):
@@ -221,6 +190,19 @@ def distinct_degree_split(a, p):
     if len(f) - 1 > 0:
         out.append((gf_monic(f, p), len(f) - 1))
     return out
+
+
+def degree_pattern(a, p):
+    """Degrees (with multiplicity) of the irreducible factors mod p of a
+    squarefree-mod-p polynomial, via distinct-degree splitting only; None
+    when the reduction is not squarefree."""
+    f = gf_monic(a, p)
+    if len(gf_gcd(f, gf_deriv(f, p), p)) - 1 != 0:
+        return None
+    return [
+        d for block, d in distinct_degree_split(f, p)
+        for _ in range((len(block) - 1) // d)
+    ]
 
 
 def _candidate_sequence(p, degree_bound):

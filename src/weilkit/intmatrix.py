@@ -1,87 +1,55 @@
 """Exact integer matrices: Smith and Hermite normal forms, determinants.
 
-Matrices are tuples of tuples of Python ints.  `hermite_rows` is the one
-Hermite core: a row HNF that carries no transform.  `hermite_normal_form`
-runs it on [M | I] to read off U, and `kernel_basis` on [M^T | I]; the
-callers that only need the rows call it directly.  The Smith form (for
-elementary divisors and kernels mod p^k) tracks both unimodular
-transforms.  Pivoting always selects a smallest-absolute-value nonzero
-entry, which keeps intermediate growth tame at the sizes this library
-works with.  `integer_inverse` is the one exact inverter: a
-fraction-free Gauss-Jordan solve (Bareiss 1968).  On it, `IntegerLattice`,
-the one integer type of the central and the p-maximal orders, finds
-coordinates and multiplication tables by exact division; `mul_mod` is the
-one product modulo a monic over Z.  A few mod-p and mod-p^k helpers live
-here as well; `rref_mod_p` is the one echelon form mod p.
+Integer rows are the one matrix format: every function takes a matrix as
+a sequence of int sequences, and `det`, `smith_normal_form`,
+`hermite_normal_form` and `kernel_basis` refuse ragged rows.  The normal
+forms come back as tuples of int tuples.  `integer_rows` clears the
+denominators of Fraction rows.  `hermite_rows` is the one Hermite core: a
+row HNF that carries no transform.  `hermite_normal_form` runs it on
+[M | I] to read off U, and `kernel_basis` on [M^T | I]; the callers that
+only need the rows call it directly.  The Smith form tracks both
+unimodular transforms.  Pivoting always selects a smallest-absolute-value
+nonzero entry, which keeps intermediate growth tame at the sizes this
+library works with.  `integer_inverse` is the one exact inverter: a
+fraction-free Gauss-Jordan solve (Bareiss 1968).  On it,
+`IntegerLattice`, the one integer type of the central and the p-maximal
+orders, finds coordinates and multiplication tables by exact division;
+`mul_mod` is the one product modulo a monic over Z.  A few mod-p and
+mod-p^k helpers live here as well; `rref_mod_p` is the one echelon form
+mod p.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
 from .checks import verify
 
 
-class IntegerMatrix:
-    """Immutable integer matrix."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rs = tuple(tuple(int(c) for c in row) for row in rows)
-        if rs:
-            w = len(rs[0])
-            if any(len(r) != w for r in rs):
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "nrows", len(rs))
-        object.__setattr__(self, "ncols", len(rs[0]) if rs else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerMatrix is immutable")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "IntegerMatrix(%r)" % ([list(r) for r in self.rows],)
-
-    def __mul__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        ot = list(zip(*other.rows)) if other.rows else []
-        return IntegerMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.rows
-            )
-        )
-
-    def diagonal(self):
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
+def _shape(rows):
+    """(nrows, ncols) of integer rows; ragged rows are refused."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    return len(rows), ncols
 
 
-def identity(n):
-    return IntegerMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+def integer_rows(vectors):
+    """(W, D): rows of ints and Fractions times their least common
+    denominator D."""
+    scale = lcm(*(c.denominator for row in vectors for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in vectors], scale
 
 
-def det(m):
+def det(rows):
     """Determinant by fraction-free Bareiss elimination."""
-    if m.nrows != m.ncols:
+    n, nc = _shape(rows)
+    if n != nc:
         raise ValueError("square matrix required")
-    n = m.nrows
     if n == 0:
         return 1
-    a = [list(r) for r in m.rows]
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -191,14 +159,14 @@ class IntegerLattice:
         return tuple(tuple(cells[i, j] for j in range(n)) for i in range(n))
 
 
-def smith_normal_form(m):
+def smith_normal_form(rows):
     """Smith normal form with transforms: returns (U, D, V), U*M*V = D.
 
     D is diagonal with d1 | d2 | ..., all diagonal entries nonnegative;
     U and V are unimodular.
     """
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
+    nr, nc = _shape(rows)
+    a = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -274,12 +242,7 @@ def smith_normal_form(m):
             for j in range(nc):
                 v[j][i] = -v[j][i]
             a[i][i] = -a[i][i]
-    return IntegerMatrix(u), IntegerMatrix(a), IntegerMatrix(v)
-
-
-def elementary_divisors(m):
-    _, d, _ = smith_normal_form(m)
-    return d.diagonal()
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
 def hermite_rows(rows):
@@ -322,7 +285,7 @@ def hermite_rows(rows):
     return [tuple(row) for row in a[:r]]
 
 
-def hermite_normal_form(m):
+def hermite_normal_form(rows):
     """Row-style HNF: returns (H, U) with U*M = H, U unimodular.
 
     H is upper triangular in echelon shape with positive pivots and entries
@@ -330,19 +293,20 @@ def hermite_normal_form(m):
     from `hermite_rows` on [M | I]: the M part of the Hermite form of
     [M | I] is H, and its I part is U.
     """
-    nr, nc = m.nrows, m.ncols
+    nr, nc = _shape(rows)
     aug = hermite_rows(
-        [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(m.rows)]
+        [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(rows)]
     )
-    return IntegerMatrix([row[:nc] for row in aug]), IntegerMatrix([row[nc:] for row in aug])
+    return tuple(row[:nc] for row in aug), tuple(row[nc:] for row in aug)
 
 
-def kernel_basis(m):
+def kernel_basis(rows):
     """Basis of the integer kernel {x : M x = 0}, as rows: the rows of the
     Hermite form of [M^T | I] whose M^T part is zero (Cohen, GTM 138, 2.4),
     with the zero rows of M, which impose nothing, dropped first."""
-    live = [row for row in m.rows if any(row)]
-    k, n = len(live), m.ncols
+    _, n = _shape(rows)
+    live = [row for row in rows if any(row)]
+    k = len(live)
     h = hermite_rows(
         [[row[j] for row in live] + [int(i == j) for i in range(n)] for j in range(n)]
     )

@@ -193,33 +193,16 @@ class WittRingModel:
         return y
 
     def _sigma_matrices(self):
-        """Coordinate matrices of sigma^i for i in [0, r)."""
+        """Coordinate matrices of sigma^i for i in [0, r): column j of
+        sigma^i is sigma^i(t)^j, and sigma^(i+1)(t) is sigma^i(t), a
+        polynomial in t, evaluated at sigma(t)."""
         if self.r == 1:
             return [((1,),)]
-        mats = []
-        # sigma: t^j -> frobenius_image^j
-        cols = []
-        for j in range(self.r):
-            cols.append(self.ring.power(self.frobenius_image, j))
-        mat1 = tuple(tuple(cols[j][i] for j in range(self.r)) for i in range(self.r))
-        ident = tuple(
-            tuple(1 if i == j else 0 for j in range(self.r)) for i in range(self.r)
-        )
-        mats.append(ident)
-        cur = ident
-        for _ in range(1, self.r):
-            cur = self._mat_mul(mat1, cur)
-            mats.append(cur)
+        mats, image = [], self.from_coords([0, 1])
+        for _ in range(self.r):
+            mats.append(tuple(zip(*(self.ring.power(image, j) for j in range(self.r)))))
+            image = self.poly_eval(image, self.frobenius_image)
         return mats
-
-    def _mat_mul(self, a, b):
-        r = self.r
-        return tuple(
-            tuple(
-                sum(a[i][l] * b[l][j] for l in range(r)) % self.pk for j in range(r)
-            )
-            for i in range(r)
-        )
 
     def sigma(self, a, power=1):
         """Arithmetic Frobenius sigma^power applied to a ring element."""

@@ -22,10 +22,10 @@ from math import gcd
 from .checks import VerificationError, verify
 from .intmatrix import (
     IntegerLattice,
-    IntegerMatrix,
     det,
     hermite_rows,
     integer_inverse,
+    integer_rows,
     nullspace_mod_p,
     poly_mod,
     rref_mod_p,
@@ -82,11 +82,7 @@ def _inverse_of_lattice(int_rows, den):
 def _hnf_rational_lattice(rows, d):
     """Canonical (integer rows, denominator) basis of a full-rank lattice
     spanned by Fraction rows."""
-    den = 1
-    for row in rows:
-        for c in row:
-            den = den * c.denominator // gcd(den, c.denominator)
-    int_rows = [[int(c * den) for c in row] for row in rows]
+    int_rows, den = integer_rows(rows)
     out = [list(r) for r in hermite_rows(int_rows)]
     verify(len(out) == d, "full-rank lattice expected")
     g = den
@@ -214,7 +210,7 @@ def _component_valuation(ring, x_coords, e, dim_local):
     determinant of multiplication by x e + (1 - e) on the order mod p^N."""
     e = lift_idempotent(ring, e)
     target = ring.add(ring.mul(x_coords, e), ring.sub(ring.one, e))
-    determinant = det(IntegerMatrix([ring.mul(target, ring.basis(i)) for i in range(ring.d)]))
+    determinant = det([ring.mul(target, ring.basis(i)) for i in range(ring.d)])
     verify(determinant != 0, "determinant vanished at working precision")
     v = 0
     while determinant % ring.p == 0:

@@ -21,14 +21,7 @@ from itertools import product
 from operator import mul
 
 from .checks import VerificationError, verify as _verify
-from .intmatrix import (
-    IntegerMatrix,
-    det,
-    hermite_rows,
-    kernel_basis,
-    nullspace_mod_p,
-    rref_mod_p,
-)
+from .intmatrix import det, hermite_rows, kernel_basis, nullspace_mod_p, rref_mod_p
 
 
 # -- M_2(Z[i]) on its 8 integer coordinates ----------------------------------
@@ -141,7 +134,7 @@ def _congruence_lattice(p):
     gens.append((0, 0, 0, 0, 0, 0, 0, p))
     rows = tuple(hermite_rows(gens))
     _verify(len(rows) == 8, "congruence lattice is not of full rank")
-    index = det(IntegerMatrix(rows))
+    index = det(rows)
     return rows, abs(index)
 
 
@@ -197,10 +190,7 @@ def _center_lattice(order):
         for b in order.basis:
             col.extend(u - v for u, v in zip(_coord_mul(zt, b), _coord_mul(b, zt)))
         columns.append(col)
-    mat = IntegerMatrix(
-        [[columns[j][i] for j in range(8)] for i in range(len(columns[0]))]
-    )
-    kern = kernel_basis(mat)
+    kern = kernel_basis(tuple(zip(*columns)))
     out = []
     for vec in kern:
         coords = [0] * 8
@@ -220,7 +210,7 @@ def center_index_in_gaussian_scalars(center_rows, p):
         _verify(row[2] == row[3] == row[4] == row[5] == 0, "center row is not diagonal")
         _verify(row[0] == row[6] and row[1] == row[7], "center row is not scalar")
         mat.append([row[0], row[1]])
-    return abs(det(IntegerMatrix(mat)))
+    return abs(det(mat))
 
 
 # -- stable lattices mod p ---------------------------------------------------
@@ -403,7 +393,7 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
         gens.append([c % p for c in vec])
     rows = tuple(hermite_rows(gens))
     _verify(len(rows) == n1 + n2, "pullback is not of full rank")
-    index = abs(det(IntegerMatrix([list(r) for r in rows])))
+    index = abs(det(rows))
     _verify(index == p ** m, "pullback index %d != p^%d" % (index, m))
     return FiberProductReport(
         basis=rows,

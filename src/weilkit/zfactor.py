@@ -42,19 +42,6 @@ def _mignotte_bound(poly):
     return (2 ** poly.degree) * (root + abs(poly.lc))
 
 
-def _degree_pattern(coeffs, p):
-    """Degrees (with multiplicity) of the irreducible factors mod p of a
-    squarefree-mod-p polynomial, via distinct-degree splitting only; None
-    when the reduction is not squarefree."""
-    f = gp.gf_monic(coeffs, p)
-    if len(gp.gf_gcd(f, gp.gf_deriv(f, p), p)) - 1 != 0:
-        return None
-    return [
-        d for block, d in gp.distinct_degree_split(f, p)
-        for _ in range((len(block) - 1) // d)
-    ]
-
-
 def _has_integer_root(poly):
     """Does a monic integer polynomial with nonzero constant term vanish at
     a +-divisor of that term?"""
@@ -98,7 +85,7 @@ def is_irreducible(poly):
     candidates = None
     good = 0
     for p in _PRIMES:
-        degrees = _degree_pattern(list(poly.coeffs), p)
+        degrees = gp.degree_pattern(list(poly.coeffs), p)
         if degrees is None:
             continue  # ramified prime, degree pattern unusable
         if len(degrees) == 1:

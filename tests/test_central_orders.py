@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from weilkit import central_orders
 from weilkit.central_orders import (
     build_order,
     connected_components,
@@ -14,9 +15,12 @@ from weilkit.central_orders import (
     product_embedding_index,
     quotient_map,
 )
+from weilkit.checks import VerificationError
 from weilkit.intmatrix import rref_mod_p
 from weilkit.intpoly import IntPolynomial
 from weilkit.weil import GlobalContext, enumerate_weil, slope_type, validate_weil, weil_set
+
+from test_intmatrix import identity, matmul
 
 
 def P(*cs):
@@ -106,14 +110,27 @@ def test_quotient_maps():
     b = validate_weil(P(3, 1, 1), C3)
     pair = weil_set([a, b])
     m = quotient_map(weil_set([a]), pair)
-    assert m.nrows == 2 and m.ncols == 4
+    assert len(m) == 2 and len(m[0]) == 4
     m2 = quotient_map(weil_set([b]), pair)
-    assert m2.nrows == 2
+    assert len(m2) == 2
     # identity map on equal sets
     ident = quotient_map(pair, pair)
-    assert ident.nrows == ident.ncols == 4
+    assert ident == identity(4)
     with pytest.raises(ValueError):
         quotient_map(pair, weil_set([a]))
+
+
+def test_quotient_map_refuses_images_that_do_not_span(monkeypatch):
+    a = validate_weil(P(3, 0, 1), C3)
+    b = validate_weil(P(3, 1, 1), C3)
+    image_coords = central_orders._image_coords
+    monkeypatch.setattr(
+        central_orders,
+        "_image_coords",
+        lambda small, big: [[2 * c for c in row] for row in image_coords(small, big)],
+    )
+    with pytest.raises(VerificationError, match="quotient map not surjective"):
+        quotient_map(weil_set([a]), weil_set([a, b]))
 
 
 def test_quotient_map_composition():
@@ -125,7 +142,7 @@ def test_quotient_map_composition():
     m_small = quotient_map(weil_set([a]), w_ab)
     m_mid = quotient_map(w_ab, w_abc)
     m_direct = quotient_map(weil_set([a]), w_abc)
-    assert m_small * m_mid == m_direct
+    assert matmul(m_small, m_mid) == m_direct
 
 
 def test_components_spec_pair():

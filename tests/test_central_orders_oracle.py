@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from weilkit import central_orders
-from weilkit.intmatrix import IntegerMatrix, elementary_divisors
+from weilkit.intmatrix import integer_rows, smith_normal_form
 from weilkit.intpoly import IntPolynomial
 from weilkit.weil import GlobalContext, WeilSet, enumerate_weil, weil_set
 
@@ -333,9 +333,10 @@ def quotient_map(w_small, w_big):
             assert c.denominator == 1, "image outside the small order"
             col.append(int(c))
         cols.append(col)
-    matrix = IntegerMatrix([[cols[j][i] for j in range(len(cols))]
-                            for i in range(order_small.rank)])
-    divisors = [d for d in elementary_divisors(matrix) if d != 0]
+    matrix = tuple(tuple(cols[j][i] for j in range(len(cols)))
+                   for i in range(order_small.rank))
+    _, smith, _ = smith_normal_form(matrix)
+    divisors = [smith[i][i] for i in range(order_small.rank) if smith[i][i] != 0]
     assert len(divisors) == order_small.rank and all(
         d == 1 for d in divisors
     ), "quotient map not surjective"
@@ -485,7 +486,7 @@ def element_coords(order, vec):
     integer-route order, the integer route's counterpart of
     `FractionOrder.element_coords`: for vec = ints / den, the lattice's
     coordinates of e ints, which are integers, over e den."""
-    (ints,), den = central_orders._integer_rows([[Fraction(c) for c in vec]])
+    (ints,), den = integer_rows([[Fraction(c) for c in vec]])
     e = order.lattice.e
     return [Fraction(c, den * e) for c in order.lattice.exact_coords([e * c for c in ints])]
 

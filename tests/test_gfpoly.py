@@ -73,6 +73,46 @@ def test_irreducibility():
     assert not gp.is_irreducible([1, 0, 1], 2)  # (x+1)^2
 
 
+def rabin_is_irreducible(a, p):
+    """Rabin's irreducibility test over F_p, the earlier
+    `gfpoly.is_irreducible`: x^(p^n) = x mod a, and gcd(x^(p^(n/l)) - x, a)
+    = 1 for every prime l dividing n = deg a."""
+    n = len(a) - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    a = gp.gf_monic(a, p)
+    x = [0, 1]
+    h = x
+    for _ in range(n):
+        h = gp.gf_pow_mod(h, p, a, p)
+    if gp.gf_sub(h, x, p):
+        return False
+    for ell in (q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))):
+        h = x
+        for _ in range(n // ell):
+            h = gp.gf_pow_mod(h, p, a, p)
+        if len(gp.gf_gcd(gp.gf_sub(h, x, p), a, p)) - 1 != 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 4), (7, 4)])
+def test_is_irreducible_matches_rabin(p, max_degree):
+    """The distinct-degree test agrees with Rabin on every monic polynomial
+    of degree 1..max_degree over F_p, and the counts N_d of monic
+    irreducibles of degree d satisfy Gauss's sum_(d | n) d N_d = p^n."""
+    counts = {}
+    for n in range(1, max_degree + 1):
+        for code in range(p ** n):
+            poly = [code // p ** i % p for i in range(n)] + [1]
+            expected = rabin_is_irreducible(poly, p)
+            assert gp.is_irreducible(poly, p) == expected, poly
+            counts[n] = counts.get(n, 0) + expected
+        assert sum(d * counts[d] for d in counts if n % d == 0) == p ** n
+
+
 def test_x5_x_1_reducible_mod_2():
     prod = gp.gf_mul([1, 1, 1], [1, 0, 1, 1], 2)
     assert prod == [1, 1, 0, 0, 0, 1]

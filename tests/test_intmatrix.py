@@ -1,11 +1,10 @@
 import random
 
+import pytest
+
 from weilkit.intmatrix import (
-    IntegerMatrix,
     det,
-    elementary_divisors,
     hermite_normal_form,
-    identity,
     kernel_basis,
     nullspace_mod_p,
     smith_normal_form,
@@ -13,16 +12,25 @@ from weilkit.intmatrix import (
 )
 
 
+def matmul(a, b):
+    """The product of two integer-row matrices, as a tuple of rows."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _check_snf(m):
     u, d, v = smith_normal_form(m)
-    assert u * m * v == d
+    assert matmul(matmul(u, m), v) == d
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
-    diag = d.diagonal()
-    for i in range(m.nrows):
-        for j in range(m.ncols):
+    diag = tuple(d[i][i] for i in range(min(len(d), len(d[0]))))
+    for i, row in enumerate(d):
+        for j, x in enumerate(row):
             if i != j:
-                assert d[i, j] == 0
+                assert x == 0
     for a, b in zip(diag, diag[1:]):
         if a == 0:
             assert b == 0
@@ -38,7 +46,7 @@ def _reduction_oracle(m):
     to the pivot and clears its row and column by division with remainder;
     a nonzero remainder is smaller than the pivot, so the next pass picks a
     smaller one, and the passes end."""
-    a = [list(r) for r in m.rows]
+    a = [list(r) for r in m]
     nr = len(a)
     nc = len(a[0]) if a else 0
     for t in range(min(nr, nc)):
@@ -73,11 +81,11 @@ def _reduction_oracle(m):
 
 
 def test_snf_examples():
-    m = IntegerMatrix([[2, 4], [6, 8]])
+    m = [[2, 4], [6, 8]]
     diag = _check_snf(m)
     assert tuple(diag) == (2, 4)
     assert _check_snf(identity(3)) == (1, 1, 1)
-    assert _check_snf(IntegerMatrix([[0, 0], [0, 0]])) == (0, 0)
+    assert _check_snf([[0, 0], [0, 0]]) == (0, 0)
 
 
 def test_snf_rank_deficient_tall():
@@ -94,10 +102,10 @@ def test_snf_rank_deficient_tall():
         [-28, 37, 11, 15, 9, 7, -13],
         [23, -50, -23, 22, 9, -28, -12],
     ]
-    diag = _check_snf(IntegerMatrix(rows))
+    diag = _check_snf(rows)
     assert sum(1 for x in diag if x) == 5
-    assert sorted(abs(x) for x in diag) == _reduction_oracle(IntegerMatrix(rows))
-    assert _check_snf(IntegerMatrix([[6 * c for c in r] for r in rows]))[0] == 6 * diag[0]
+    assert sorted(abs(x) for x in diag) == _reduction_oracle(rows)
+    assert _check_snf([[6 * c for c in r] for r in rows])[0] == 6 * diag[0]
 
 
 def test_snf_random():
@@ -108,7 +116,7 @@ def test_snf_random():
         if nr > 2 and rng.random() < 0.5:
             rows[rng.randrange(nr)] = [0] * nc
             rows[rng.randrange(nr)] = list(rows[rng.randrange(nr)])
-        m = IntegerMatrix(rows)
+        m = rows
         diag = _check_snf(m)
         oracle = _reduction_oracle(m)
         assert sorted(abs(x) for x in diag) == sorted(oracle)
@@ -120,40 +128,49 @@ def test_snf_random():
 
 
 def test_det():
-    assert det(IntegerMatrix([[2, 0], [0, 3]])) == 6
-    assert det(IntegerMatrix([[1, 2], [3, 4]])) == -2
+    assert det([[2, 0], [0, 3]]) == 6
+    assert det([[1, 2], [3, 4]]) == -2
     assert det(identity(4)) == 1
-    assert det(IntegerMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
+    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    with pytest.raises(ValueError, match="square matrix required"):
+        det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_ragged_rows_refused():
+    ragged = [[1, 2], [3]]
+    for fn in (det, smith_normal_form, hermite_normal_form, kernel_basis):
+        with pytest.raises(ValueError, match="ragged rows"):
+            fn(ragged)
 
 
 def test_hnf():
-    m = IntegerMatrix([[2, 4], [6, 8]])
+    m = [[2, 4], [6, 8]]
     h, u = hermite_normal_form(m)
-    assert u * m == h
+    assert matmul(u, m) == h
     assert abs(det(u)) == 1
-    assert h[0, 0] > 0
+    assert h[0][0] > 0
     # echelon: below-diagonal zero
-    assert h[1, 0] == 0
+    assert h[1][0] == 0
 
 
 def test_hnf_canonical_for_equal_lattices():
     # two generating sets of the same row lattice
-    m1 = IntegerMatrix([[1, 2], [0, 3]])
-    m2 = IntegerMatrix([[1, 5], [1, 2], [0, 3]])
+    m1 = [[1, 2], [0, 3]]
+    m2 = [[1, 5], [1, 2], [0, 3]]
     h1, _ = hermite_normal_form(m1)
     h2, _ = hermite_normal_form(m2)
-    rows1 = [r for r in h1.rows if any(r)]
-    rows2 = [r for r in h2.rows if any(r)]
+    rows1 = [r for r in h1 if any(r)]
+    rows2 = [r for r in h2 if any(r)]
     assert rows1 == rows2
 
 
 def test_kernel():
-    m = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
+    m = [[1, 2, 3], [2, 4, 6]]
     basis = kernel_basis(m)
     assert len(basis) == 2
     for vec in basis:
         assert all(
-            sum(m[i, j] * vec[j] for j in range(3)) == 0 for i in range(2)
+            sum(m[i][j] * vec[j] for j in range(3)) == 0 for i in range(2)
         )
 
 
