@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .checks import VerificationError
+
 
 def gf_trim(a):
     while a and a[-1] == 0:
@@ -136,7 +138,7 @@ def lexicographically_smallest_irreducible(p, n):
             continue
         if is_irreducible(poly, p):
             return poly
-    raise AssertionError("no irreducible of degree %d over F_%d" % (n, p))
+    raise VerificationError("no irreducible of degree %d over F_%d" % (n, p))
 
 
 # -- factorization -------------------------------------------------------
@@ -241,7 +243,7 @@ def equal_degree_split(a, d, p):
             left = equal_degree_split(g, d, p)
             right = equal_degree_split(gf_divmod(a, g, p)[0], d, p)
             return left + right
-    raise AssertionError("splitting sequence exhausted")
+    raise VerificationError("splitting sequence exhausted")
 
 
 def factor(a, p):

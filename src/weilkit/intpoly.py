@@ -7,12 +7,17 @@ come from one primitive pseudo-remainder sequence over Z, and resultants
 from a subresultant one.  This module also provides the two classical
 exact-real-root tools the rest of the library leans on, Sturm counting on
 rational intervals (int or Fraction endpoints) and sign evaluation at
-quadratic surds a + b*sqrt(s).
+quadratic surds a + b*sqrt(s).  The remainder sequences, exact division and
+the root-interval test run on bare coefficient tuples; `IntPolynomial`
+wraps only what a public function takes or returns.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import ne
+
+from .checks import verify
 
 
 class IntPolynomial:
@@ -21,13 +26,14 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError("integer coefficients required, got %r" % (c,))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", cs[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -145,11 +151,7 @@ class IntPolynomial:
         return IntPolynomial((0,) * n + self.coeffs)
 
     def derivative(self):
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def reversed(self):
-        """Coefficient reversal x^deg * p(1/x)."""
-        return IntPolynomial(tuple(reversed(self.coeffs)))
+        return IntPolynomial(_derivative(self.coeffs))
 
     def content(self):
         g = 0
@@ -175,11 +177,38 @@ def _coerce(p):
     raise TypeError("expected IntPolynomial or int, got %r" % (p,))
 
 
-# -- remainder sequences over Z -------------------------------------------
+# -- remainder sequences over Z, on coefficient tuples ----------------------
+
+
+def _derivative(cs):
+    return tuple(i * c for i, c in enumerate(cs) if i)
+
+
+def _normal(cs):
+    """cs divided by its content, with a positive leading coefficient."""
+    g = -gcd(*cs) if cs and cs[-1] < 0 else gcd(*cs)
+    return tuple([c // g for c in cs]) if g not in (0, 1) else cs
+
+
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over Z, for
+    coefficient tuples with b nonzero: one step, a scaling by lc(b) and a
+    subtraction, per degree from deg a down to deg b."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(a) > db:
+        la = a.pop()
+        shift = len(a) - db
+        a = [c * lb for c in a]
+        for i in range(db):
+            a[shift + i] -= la * b[i]
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
 
 
 def _sturm_sequence(a, b):
-    """Primitive Sturm remainder sequence of (a, b) over Z, zeros dropped.
+    """Primitive Sturm remainder sequence of the tuples (a, b), zeros dropped.
 
     After a and b, each element is minus the pseudo-remainder of the two
     before it, scaled by |lc|^k rather than lc^k (Brown-Traub, J. ACM 18,
@@ -188,35 +217,54 @@ def _sturm_sequence(a, b):
     The last element is gcd(a, b) up to a nonzero integer factor.
     """
     seq = [a, b]
-    while not seq[-1].is_zero:
+    while seq[-1]:
         u, v = seq[-2], seq[-1]
         r = _prem(u, v)
-        e = u.degree - v.degree + 1
-        scaled_negative = v.lc < 0 and e > 0 and e % 2  # _prem scales by lc(v)^e
-        seq.append((r if scaled_negative else -r).primitive_part())
+        e = len(u) - len(v) + 1
+        g = gcd(*r) or 1
+        if not (v[-1] < 0 and e > 0 and e % 2):  # _prem scales by lc(v)^e
+            g = -g
+        seq.append(tuple([c // g for c in r]))
     seq.pop()
     return seq
 
 
+def _divide(a, b):
+    """The quotient a / b of coefficient tuples when it lies in Z[x], b
+    nonzero; raises ValueError otherwise."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        c, r = divmod(a.pop(), lb)
+        if r:
+            raise ValueError("division not exact over Z")
+        shift = len(a) - db
+        q[shift] = c
+        for i in range(db):
+            a[shift + i] -= c * b[i]
+    if any(a):
+        raise ValueError("division not exact")
+    return tuple(q)
+
+
 def gcd_poly(a, b):
     """Primitive gcd over Q of two integer polynomials (monic-normalized sign)."""
-    g = _sturm_sequence(a, b)[-1].primitive_part()
-    return -g if g.lc < 0 else g
+    return IntPolynomial(_normal(_sturm_sequence(a.coeffs, b.coeffs)[-1]))
 
 
 def is_squarefree(p):
     if p.is_zero:
         return False
-    return gcd_poly(p, p.derivative()).degree <= 0
+    return len(_sturm_sequence(p.coeffs, _derivative(p.coeffs))[-1]) <= 1
 
 
 def squarefree_part(p):
     """p divided by gcd(p, p'), primitive."""
-    g = gcd_poly(p, p.derivative())
-    if g.degree <= 0:
-        return p.primitive_part() if p.content() > 1 else p
-    s = divmod_exact(p, g).primitive_part()
-    return -s if s.lc < 0 else s
+    g = _sturm_sequence(p.coeffs, _derivative(p.coeffs))[-1]
+    if len(g) <= 1:
+        return p.primitive_part()
+    return IntPolynomial(_normal(_divide(p.coeffs, _normal(g))))
 
 
 def divmod_exact(a, b):
@@ -224,24 +272,7 @@ def divmod_exact(a, b):
     ZeroDivisionError when b is zero."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    a = list(a.coeffs)
-    bc = b.coeffs
-    db, lb = len(bc) - 1, bc[-1]
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c, r = divmod(a[-1], lb)
-        if r:
-            raise ValueError("division not exact over Z")
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i in range(db):
-            a[shift + i] -= c * bc[i]
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    if a:
-        raise ValueError("division not exact")
-    return IntPolynomial(q)
+    return IntPolynomial(_divide(a.coeffs, b.coeffs))
 
 
 # -- Sturm machinery -----------------------------------------------------
@@ -250,13 +281,13 @@ def divmod_exact(a, b):
 def sturm_chain(p):
     """Sturm chain of p as integer polynomials; when p is not squarefree
     it ends in gcd(p, p') up to a constant factor."""
-    return _sturm_sequence(p, p.derivative())
+    return [IntPolynomial(f) for f in _sturm_sequence(p.coeffs, _derivative(p.coeffs))]
 
 
 def _variations(values):
     """Sign changes along a sequence of integers, zeros skipped."""
     signs = [v > 0 for v in values if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return sum(map(ne, signs, signs[1:]))
 
 
 def _variations_at(chain, x):
@@ -266,7 +297,7 @@ def _variations_at(chain, x):
     values = []
     for f in chain:
         acc, scale = 0, 1
-        for c in reversed(f.coeffs):
+        for c in reversed(f):
             acc = acc * n + c * scale
             scale *= d
         values.append(acc)
@@ -274,15 +305,15 @@ def _variations_at(chain, x):
 
 
 def _infinity_variations(chain):
-    """Sign variations of the chain at -infinity and at +infinity."""
-    plus = [1 if f.lc > 0 else -1 for f in chain]
-    minus = [s if f.degree % 2 == 0 else -s for s, f in zip(plus, chain)]
-    return _variations(minus), _variations(plus)
+    """Sign variations of the chain of tuples at -infinity and at +infinity."""
+    plus = [f[-1] > 0 for f in chain]
+    minus = [(f[-1] > 0) == len(f) % 2 for f in chain]
+    return sum(map(ne, minus, minus[1:])), sum(map(ne, plus, plus[1:]))
 
 
 def _squarefree_chain(poly):
-    chain = sturm_chain(poly)
-    if poly.is_zero or chain[-1].degree > 0:
+    chain = _sturm_sequence(poly.coeffs, _derivative(poly.coeffs))
+    if poly.is_zero or len(chain[-1]) > 1:
         raise ValueError("squarefree required")
     return chain
 
@@ -316,49 +347,35 @@ def eval_at_surd(poly, a, b, s):
 
     a, b integers, s a nonnegative integer (not necessarily squarefree).
     """
+    return _at_surd(poly.coeffs, a, b, s)
+
+
+def _at_surd(cs, a, b, s):
     A, B = 0, 0
-    for c in reversed(poly.coeffs):
+    for c in reversed(cs):
         A, B = A * a + B * b * s + c, A * b + B * a
     return A, B
 
 
 def surd_sign(A, B, s):
-    """Sign of A + B*sqrt(s), exactly."""
-    if B == 0:
-        return (A > 0) - (A < 0)
-    if s == 0:
-        return (A > 0) - (A < 0)
-    if A == 0:
-        return (B > 0) - (B < 0)
-    if A > 0 and B > 0:
-        return 1
-    if A < 0 and B < 0:
-        return -1
-    # opposite signs: compare A^2 with B^2 s
+    """Sign of A + B*sqrt(s), exactly: when A and B have opposite signs,
+    the larger of A^2 and B^2 s decides."""
+    sa = (A > 0) - (A < 0)
+    sb = (B > 0) - (B < 0) if s else 0
+    if sa * sb >= 0:
+        return sa or sb
     d = A * A - B * B * s
-    if d == 0:
-        return 0
-    if A > 0:
-        return 1 if d > 0 else -1
-    return -1 if d > 0 else 1
+    return sa if d > 0 else sb if d < 0 else 0
 
 
 def surd_floor(num_a, num_b, s, den):
     """Exact floor of (num_a + num_b*sqrt(s)) / den for integers, den > 0."""
     if den <= 0:
         raise ValueError("positive denominator required")
-    # floor of num_b*sqrt(s): isqrt handles the principal part
-    if num_b >= 0:
-        t = isqrt(num_b * num_b * s)
-        lo = (num_a + t) // den
-    else:
-        t = isqrt(num_b * num_b * s)
-        # -floor is ceil of positive part
-        if t * t == num_b * num_b * s:
-            lo = (num_a - t) // den
-        else:
-            lo = (num_a - t - 1) // den
-    # verify and adjust by direct sign comparison
+    # start from floor(|num_b| sqrt(s)) = isqrt(num_b^2 s), one below its
+    # ceiling when num_b < 0, then adjust by direct sign comparison
+    t = isqrt(num_b * num_b * s)
+    lo = (num_a + (t if num_b >= 0 else -t - 1)) // den
     while surd_sign(num_a - den * (lo + 1), num_b, s) >= 0:
         lo += 1
     while surd_sign(num_a - den * lo, num_b, s) < 0:
@@ -372,13 +389,18 @@ def all_roots_below_surd(poly, a, b, s):
     Uses the derivative-sign criterion; the caller must have verified that
     every root of poly is real.
     """
-    p = poly
-    while p.degree > 0:
-        A, B = eval_at_surd(p, a, b, s)
-        if surd_sign(A, B, s) <= 0:
-            return False
-        p = p.derivative()
-    return True
+    return all(hi > 0 for hi, _lo in _derivative_signs(poly.coeffs, a, b, s))
+
+
+def _derivative_signs(cs, a, b, s):
+    """Signs at a + b*sqrt(s) and at a - b*sqrt(s) of the tuple cs and its
+    nonconstant derivatives; sqrt(s) -> -sqrt(s) is a ring map of Z[sqrt(s)]."""
+    out = []
+    while len(cs) > 1:
+        A, B = _at_surd(cs, a, b, s)
+        out.append((surd_sign(A, B, s), surd_sign(A, -B, s)))
+        cs = _derivative(cs)
+    return out
 
 
 def all_roots_in_open_surd_interval(poly, bound_b, s):
@@ -388,49 +410,31 @@ def all_roots_in_open_surd_interval(poly, bound_b, s):
     poly') ends in g = gcd(poly, poly'), and every root is real exactly when
     the variations at -infinity minus those at +infinity, the number of
     distinct real roots, equal deg poly - deg g.  The derivative tests then
-    run on poly / g, which has the same root set.  Works for any integer
-    s >= 0, so the bound may be irrational.
+    run on p = poly / g, which has the same root set, with lc(p) > 0: every
+    root is below x0 = bound_b*sqrt(s) exactly when p^(k)(x0) > 0 for
+    k < n = deg p, and above -x0 exactly when the same holds for the mirror
+    (-1)^n p(-x), that is when p^(k)(-x0) has the sign (-1)^(n - k).  Works
+    for any integer s >= 0, so the bound may be irrational.
     """
-    if poly.degree <= 0:
+    return _in_open_surd_interval(poly.coeffs, bound_b, s)
+
+
+def _in_open_surd_interval(cs, bound_b, s):
+    """`all_roots_in_open_surd_interval` on a coefficient tuple."""
+    if len(cs) <= 1:
         return True
-    chain = sturm_chain(poly)
+    chain = _sturm_sequence(cs, _derivative(cs))
     g = chain[-1]
     minus, plus = _infinity_variations(chain)
-    if minus - plus != poly.degree - g.degree:
+    if minus - plus != len(cs) - len(g):
         return False
-    p = divmod_exact(poly, g.primitive_part()) if g.degree > 0 else poly
-    if p.lc < 0:
-        p = -p
-    if not all_roots_below_surd(p, 0, bound_b, s):
-        return False
-    q = IntPolynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.coeffs)))
-    if q.lc < 0:
-        q = -q
-    return all_roots_below_surd(q, 0, bound_b, s)
+    p = _normal(_divide(cs, _normal(g)) if len(g) > 1 else cs)
+    signs = _derivative_signs(p, 0, bound_b, s)
+    n = len(signs)
+    return all(hi > 0 and lo == (-1) ** (n - k) for k, (hi, lo) in enumerate(signs))
 
 
 # -- resultants ----------------------------------------------------------
-
-
-def _prem(a, b):
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
-    a = list(a.coeffs)
-    bc = b.coeffs
-    db, lb = len(bc) - 1, bc[-1]
-    e = len(a) - len(bc) + 1
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for i in range(len(bc)):
-            a[shift + i] -= la * bc[i]
-        while a and a[-1] == 0:
-            a.pop()
-        e -= 1
-    if e > 0:
-        m = lb ** e
-        a = [c * m for c in a]
-    return IntPolynomial(a)
 
 
 def resultant(p, q):
@@ -439,39 +443,35 @@ def resultant(p, q):
     Normalized as lc(q)^deg(p) times the product of p over the roots of q,
     which differs from the Sylvester determinant by (-1)^(deg p * deg q).
     Computed by a subresultant pseudo-remainder sequence (Cohen, Algorithm
-    3.3.7) with a final sign correction for the chosen normalization.
+    3.3.7) on coefficient tuples, with a final sign correction for the
+    chosen normalization.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("nonzero polynomials required")
-    a, b = p, q
-    s = -1 if (p.degree % 2 == 1 and q.degree % 2 == 1) else 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+    a, b = p.coeffs, q.coeffs
+    s = -1 if (len(a) % 2 == 0 and len(b) % 2 == 0) else 1
+    if len(a) < len(b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             s = -s
         a, b = b, a
-    if b.degree == 0:
-        return s * b.lc ** a.degree
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
     g, h = 1, 1
     while True:
-        d = a.degree - b.degree
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+        d = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             s = -s
-        r = _prem(a, b)
-        a, b = b, r
-        if b.is_zero:
+        a, b = b, _prem(a, b)
+        if not b:
             return 0
         denom = g * h ** d
-        b = IntPolynomial(tuple(c // denom for c in b.coeffs))
-        g = a.lc
+        b = tuple(c // denom for c in b)
+        g = a[-1]
         if d > 0:
             h = g ** d // h ** (d - 1)
-        elif d == 0:
-            pass
-        if b.degree == 0:
-            if a.degree == 0:
-                raise AssertionError("unreachable")
-            res = b.lc ** a.degree // h ** (a.degree - 1)
-            return s * res
+        if len(b) == 1:
+            verify(len(a) > 1, "subresultant sequence reached a constant too early")
+            return s * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
 
 
 def discriminant(p):
@@ -482,6 +482,5 @@ def discriminant(p):
     r = resultant(p, p.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     val = sign * r
-    if val % p.lc:
-        raise AssertionError("discriminant not divisible by leading coefficient")
+    verify(val % p.lc == 0, "discriminant not divisible by leading coefficient")
     return val // p.lc

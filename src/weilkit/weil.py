@@ -22,7 +22,7 @@ from . import zfactor
 from .checks import verify
 from .intpoly import (
     IntPolynomial,
-    all_roots_in_open_surd_interval,
+    _in_open_surd_interval,
     eval_at_surd,
     roots_at_most,
     squarefree_part,
@@ -264,19 +264,28 @@ def symmetric_polynomial(cls):
 
 def trace_polynomial(poly, q):
     """Q with P(x) = x^d Q(x + q/x) for an even-degree P satisfying the
-    coefficient functional equation."""
-    n = poly.degree
-    d = n // 2
-    # T_k(beta) = x^k + (q/x)^k as a polynomial in beta = x + q/x:
-    # T_0 = 2, T_1 = beta, T_k = beta T_{k-1} - q T_{k-2}
-    t_prev = IntPolynomial((2,))
-    t_cur = IntPolynomial((0, 1))
-    out = IntPolynomial((poly[d],))
-    for k in range(1, d + 1):
-        if k > 1:
-            t_prev, t_cur = t_cur, IntPolynomial((0, 1)) * t_cur - q * t_prev
-        out = out + poly[d + k] * t_cur
-    return out
+    coefficient functional equation, by back-substitution.
+
+    For Q = sum_j b_j x^j, x^d Q(x + q/x) = sum_j b_j x^(d - j) (x^2 + q)^j,
+    and the row x^(d - j) (x^2 + q)^j is monic of degree d + j, so the
+    coefficients of x^d..x^(2d) form a unitriangular system.  Solved from
+    the top: b_d = P[2d] and b_j = P[d + j] - sum_(t > j, t = j mod 2)
+    C(t, (t - j)/2) q^((t - j)/2) b_t: the entries of column d + j of
+    `_trace_columns`, read in closed form rather than build that matrix for
+    one class, so this inverts `_from_trace`.  Only the top half of P is
+    read; the functional equation fixes the rest.
+    """
+    return IntPolynomial(_trace_coefficients(poly.coeffs, q))
+
+
+def _trace_coefficients(p, q):
+    """`trace_polynomial` on coefficient tuples, constant term first."""
+    d = (len(p) - 1) // 2
+    b = [0] * (d + 1)
+    for j in range(d, -1, -1):
+        tail = range(1, (d - j) // 2 + 1)  # t = j + 2i > j
+        b[j] = p[d + j] - sum([comb(j + 2 * i, i) * q ** i * b[j + 2 * i] for i in tail])
+    return tuple(b)
 
 
 def _trace_columns(d, q):
@@ -317,16 +326,15 @@ def validate_weil(poly, ctx):
     q = ctx.q
     if poly.degree < 1:
         raise NotWeilError("reducible", "constant polynomial")
-    if poly.coeffs[0] == 0:
+    cs = poly.coeffs
+    if cs[0] == 0:
         raise NotWeilError("reducible", "zero is a root")
     n = poly.degree
     d = n // 2
-    symmetric = n % 2 == 0 and all(
-        poly[d - k] == q ** k * poly[d + k] for k in range(1, d + 1)
-    )
-    qb = trace_polynomial(poly, q) if symmetric else None
-    if qb is not None and all_roots_in_open_surd_interval(qb, 2, q):
-        if not zfactor.is_irreducible(qb):
+    symmetric = n % 2 == 0 and all(cs[d - k] == q ** k * cs[d + k] for k in range(1, d + 1))
+    trace = _trace_coefficients(cs, q) if symmetric else None
+    if trace is not None and _in_open_surd_interval(trace, 2, q):
+        if not zfactor.is_irreducible(IntPolynomial(trace)):
             raise NotWeilError("reducible")
         return WeilClass(ctx, poly, is_real=False, half_degree=d)
     if not zfactor.is_irreducible(poly):
@@ -336,7 +344,7 @@ def validate_weil(poly, ctx):
         if ctx.r % 2 == 0 and abs(c) == ctx.p ** (ctx.r // 2):
             return WeilClass(ctx, poly, is_real=True, half_degree=None)
         raise NotWeilError("real-but-not-sqrt-q", "rational root %d" % c)
-    if poly.degree == 2 and poly == IntPolynomial((-q, 0, 1)):
+    if cs == (-q, 0, 1):
         # the real class {+-sqrt q}; r odd here since x^2 - q is irreducible
         return WeilClass(ctx, poly, is_real=True, half_degree=None)
     if n % 2:

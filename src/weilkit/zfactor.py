@@ -14,6 +14,7 @@ from itertools import combinations
 from math import isqrt
 
 from . import gfpoly as gp
+from .checks import VerificationError
 from .hensel import lift_factorization
 from .intpoly import IntPolynomial, divmod_exact, is_squarefree
 
@@ -139,4 +140,4 @@ def _zassenhaus_irreducible(poly):
                 except ValueError:
                     continue
         return True
-    raise AssertionError("no usable prime found for %r" % (poly,))
+    raise VerificationError("no usable prime found for %r" % (poly,))

@@ -1,4 +1,6 @@
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -244,6 +246,25 @@ def test_surd_sign():
     assert surd_sign(3, -2, 2) == 1  # 3 - 2 sqrt2 > 0
     assert surd_sign(-3, 2, 2) == -1
     assert surd_sign(2, -1, 5) == -1
+
+
+def _decimal_surd(a, b, s):
+    """a + b*sqrt(s) to 50 digits; exact when s is a square."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal(a) + Decimal(b) * Decimal(s).sqrt()
+
+
+def test_surd_sign_and_floor_match_decimal_square_roots():
+    """On a box of small integers a nonzero value is far above the 50-digit
+    rounding, so the Decimal sign and floor are exact."""
+    for a in range(-20, 21):
+        for b in range(-12, 13):
+            for s in range(0, 26):
+                value = _decimal_surd(a, b, s)
+                assert surd_sign(a, b, s) == (value > 0) - (value < 0), (a, b, s)
+                for den in (1, 2, 3, 7, 27):
+                    assert surd_floor(a, b, s, den) == math.floor(value / den), (a, b, s, den)
 
 
 def test_eval_at_surd():
