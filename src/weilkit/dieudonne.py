@@ -488,31 +488,51 @@ class CenterReport:
     witness: tuple | None
 
 
+def _commutator_rows(alg, generators):
+    """Rows of the matrix over Z/p^k of x -> (x g - g x for g in generators),
+    zp_rank rows per g, built block by block from the two rules of `mul`.
+
+    For x = c F_i and a term g_j F_j of g, x g_j F_j = p^e c sigma^i(g_j)
+    F_(i+j) and g_j F_j x = p^e g_j sigma^j(c) F_(i+j), with one
+    e = e(i, j) = e(j, i).  Both are linear in c, and sigma^i depends only on
+    i mod r, so the columns of slot i are p^e D_(i mod r, j), where D_(s, j)
+    is c -> c sigma^s(g_j) - g_j sigma^j(c), placed at F_(i+j) as
+    `element_for_index` writes it: slot i + j, or each slot s2 of its rewrite
+    times rew[s2] (W is commutative).  These are the entries of the product
+    loop, for every g: when N = 1, F = F_1 is itself a rewritten vector."""
+    witt, r, pk, dim, one = alg.witt, alg.r, alg.witt.pk, alg.zp_rank, alg.witt.one()
+    units = [witt.from_coords([int(u == t) for u in range(r)]) for t in range(r)]
+    rows = [[0] * dim for _ in range(len(generators) * dim)]
+    for off, g in zip(range(0, len(rows), dim), generators):
+        for j, gj in zip(range(-alg.n_bound, alg.n_bound), g):
+            if not any(gj):
+                continue
+            right = [witt.mul(gj, witt.sigma(e, j)) for e in units]
+            blocks = [[witt.sub(witt.mul(e, a), b) for e, b in zip(units, right)]
+                      for a in (witt.sigma(gj, s) for s in range(r))]
+            for si, i in enumerate(range(-alg.n_bound, alg.n_bound)):
+                scale = alg.p ** alg._exp_rule(i, j)
+                target = [(s2, c) for s2, c in enumerate(alg.element_for_index(i + j)) if any(c)]
+                for t, col in enumerate(blocks[i % r]):
+                    for s2, c in target:
+                        img = col if c == one else witt.mul(col, c)
+                        for u, a in enumerate(img):
+                            row = rows[off + s2 * r + u]
+                            row[si * r + t] = (row[si * r + t] + scale * a) % pk
+    return rows
+
+
 def verify_center(alg):
     """Solve the centralizer system mod p^k and compare with the span of the
     central-order images, at a precision reduced by the largest elementary
-    divisor of the commutator matrix (which bounds the lifting defect)."""
+    divisor of the commutator matrix (which bounds the lifting defect); that
+    matrix, for F, V and (r > 1) the Witt generator, is `_commutator_rows`."""
     p, k = alg.p, alg.k
     dim = alg.zp_rank
     generators = [alg.frobenius_gen(), alg.verschiebung_gen()]
     if alg.r > 1:
-        generators.append(
-            alg.basis_element(0, alg.witt.from_coords([0, 1]))
-        )
-    rows = []
-    unit_basis = []
-    for s in range(alg.slots):
-        for t in range(alg.r):
-            coeff = alg.witt.from_coords([1 if u == t else 0 for u in range(alg.r)])
-            unit_basis.append(alg.basis_element(alg.index_of_slot(s), coeff))
-    columns = []
-    for e in unit_basis:
-        col = []
-        for g in generators:
-            comm = alg.sub(alg.mul(e, g), alg.mul(g, e))
-            col.extend(alg.to_coords(comm))
-        columns.append(col)
-    rows = [[columns[j][i] for j in range(dim)] for i in range(len(columns[0]))]
+        generators.append(alg.basis_element(0, alg.witt.from_coords([0, 1])))
+    rows = _commutator_rows(alg, generators)
     exps, v = zpk_smith(rows, p, k, dim)
     slack = max((e for e in exps if e < k), default=0)
     effective = k - slack

@@ -176,19 +176,21 @@ class WittRingModel:
         return acc
 
     def _lift_frobenius(self):
-        # root of the modulus congruent to t^p mod p, by Newton iteration
-        t = self.from_coords([0, 1] if self.r > 1 else [0])
+        """The root rho of the modulus m congruent to y0 = t^p mod p, by
+        Newton steps on one inverse z = m'(y0)^(-1): y <- y - m(y) z at most
+        k - 1 times from y0, stopping at m(y) = 0.  If y = rho mod p^a with
+        a >= 1, then m(y) = m'(rho) (y - rho) mod p^(a+1) and
+        m'(rho) z = m'(y0) z = 1 mod p, so y - m(y) z = rho mod p^(a+1)."""
         if self.r == 1:
             return self.from_int(0)  # t is absent; sigma is identity on Z_p
-        y = self.ring.power(t, self.p)
-        m = list(self.modulus)
-        dm = [(i * m[i]) % self.pk for i in range(1, len(m))]
-        prec = 1
-        while prec < self.k:
+        y = self.ring.power(self.from_coords([0, 1]), self.p)
+        m = self.modulus
+        z = self.inv(self.poly_eval([i * m[i] for i in range(1, len(m))], y))
+        for _ in range(self.k - 1):
             fy = self.poly_eval(m, y)
-            dfy = self.poly_eval(dm, y)
-            y = self.sub(y, self.mul(fy, self.inv(dfy)))
-            prec *= 2
+            if not any(fy):
+                break
+            y = self.sub(y, self.mul(fy, z))
         verify(self.poly_eval(m, y) == self.zero(), "Frobenius lift failed")
         return y
 

@@ -163,6 +163,36 @@ def test_order_requests_byte_identical(capsys):
         assert hashlib.sha256(raw.encode()).hexdigest() == digest, argv
 
 
+# sha256 of the `--no-cache dieudonne-center` stdout of these requests, besides
+# the q = 9, k = 5 one above, measured before the center check built its
+# commutator matrix block by block and the Witt model lifted Frobenius with
+# one inverse: r = 1, 2, 3 and 5, N = 1 (F rewritten), two classes, default
+# and explicit precision
+CENTER_DIGESTS = {
+    ("--q", "32", "--poly", "32,-2,1", "--precision", "4"):
+        "23a38255f28337ebbe3983ed0a71c3723f5699259bbd6975499d014edabb3d7e",
+    ("--q", "3", "--poly", "3,0,1"):
+        "96e7d07d51f63ba373b0a7a1de25b308354b966c66355fd6a5ef19e9a9b2ea86",
+    ("--q", "3", "--poly", "3,0,1", "--poly", "3,1,1", "--precision", "3"):
+        "2321d21bda6913c6fbaf67bfbb0fa0f9ca747a861ff4f05822a43b8e93badf19",
+    ("--q", "9", "--poly=-3,1", "--poly", "9,0,1", "--precision", "3"):
+        "756ddd1984e5479c2b4c2e628e8b8c320471414e6f425fee7afeae687c8e47a3",
+    ("--q", "4", "--poly=-2,1", "--precision", "4"):
+        "dfeb832cce24659d8483b3bc9d4440f1aa85612f3fc68261a85bc8a94c364471",
+    ("--q", "2", "--poly", "4,-4,2,-2,1"):
+        "4a27ed3f3f341c2a9f32f08aec79a8bc0c8acccc5e9434adce67293f355b9147",
+    ("--q", "8", "--poly", "8,0,1", "--precision", "6"):
+        "8e851be71af613014148ef918c1d21c1b9b033c3440e010c26f2591e890aac22",
+}
+
+
+def test_dieudonne_center_requests_byte_identical(capsys):
+    for argv, digest in CENTER_DIGESTS.items():
+        code, _, raw = invoke(capsys, "--no-cache", "dieudonne-center", *argv)
+        assert code == 0
+        assert hashlib.sha256(raw.encode()).hexdigest() == digest, argv
+
+
 # sha256 of the `--no-cache enumerate` stdout of the 14 acceptance-grid
 # cells, measured before the Sturm tests moved from Fraction remainders to
 # one integer remainder sequence, and of (2, 8), measured on the per-node

@@ -1,12 +1,15 @@
 """The Dieudonne layer's replaced kernels, kept as an oracle.
 
-The Witt model used to multiply and reduce by hand and to invert by an
-extended Euclid over F_p; W tensor A was its own class; and the
-sigma-twisted product had three loops (the product, F times and V times).
-They are copied here unchanged, apart from reading the central order's
-(F, V, 1) coordinates through `CentralOrder.generators`, and the library,
-which now runs all of them on `tablering.TableRing` and one product
-helper, must give the same bytes.
+The Witt model used to multiply and reduce by hand, to invert by an
+extended Euclid over F_p, and to lift Frobenius by doubling Newton steps
+with one inverse each; W tensor A was its own class; the sigma-twisted
+product had three loops (the product, F times and V times); and the center
+check built its commutator matrix from two generic products per unit
+vector and generator.  They are copied here unchanged, apart from reading
+the central order's (F, V, 1) coordinates through
+`CentralOrder.generators`, and the library, which now runs them on
+`tablering.TableRing`, one product helper, one Newton inverse and the
+product rules block by block, must give the same bytes.
 """
 
 import random
@@ -15,11 +18,13 @@ import pytest
 from weilkit import gfpoly as gp
 from weilkit.central_orders import build_order
 from weilkit.checks import verify
+from weilkit import dieudonne
 from weilkit.dieudonne import (
     DieudonneAlgebra,
     OrdinaryMatrixReport,
     build_dieudonne,
     ordinary_matrix_check,
+    verify_center,
 )
 from weilkit.padic import WittRingModel
 from weilkit.tablering import TableRing, lift_idempotent, split_idempotents
@@ -705,10 +710,35 @@ def _mod_p_equal(x, y, p):
     return True
 
 
+def old_commutator_rows(alg, generators):
+    """The commutator matrix of `verify_center` from x e - e x products."""
+    dim = alg.zp_rank
+    unit_basis = []
+    for s in range(alg.slots):
+        for t in range(alg.r):
+            coeff = alg.witt.from_coords([1 if u == t else 0 for u in range(alg.r)])
+            unit_basis.append(alg.basis_element(alg.index_of_slot(s), coeff))
+    columns = []
+    for e in unit_basis:
+        col = []
+        for g in generators:
+            comm = alg.sub(alg.mul(e, g), alg.mul(g, e))
+            col.extend(alg.to_coords(comm))
+        columns.append(col)
+    return [[columns[j][i] for j in range(dim)] for i in range(len(columns[0]))]
+
+
 # -- comparisons -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("p, r, k", [(2, 5, 6), (3, 2, 5), (3, 3, 5), (5, 2, 3)])
+@pytest.mark.parametrize(
+    "p, r, k",
+    [
+        (2, 5, 6), (3, 2, 5), (3, 3, 5), (5, 2, 3),
+        (3, 2, 1), (2, 3, 1), (5, 1, 1), (3, 2, 2), (2, 4, 2),
+        (7, 2, 12), (5, 3, 9), (2, 4, 20),
+    ],
+)
 def test_witt_model(p, r, k):
     new, old = WittRingModel(p, r, k), OldWittRingModel(p, r, k)
     assert (new.modulus, new.frobenius_image) == (old.modulus, old.frobenius_image)
@@ -781,3 +811,84 @@ def test_ordinary_matrix_check(q, max_degree):
     new = ordinary_matrix_check(build_dieudonne(w, 4), search_cap=1)
     assert new == old_ordinary_matrix_check(OldAlgebra(w, 4), search_cap=1)
     assert new.verdict == "inconclusive"
+
+
+def _mulmod(a, b, m, pk):
+    """a b in (Z/p^k)[t]/(m), coefficient lists constant term first, m monic."""
+    r = len(m) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, r - 1, -1):
+        c = prod.pop()
+        for i in range(r):
+            prod[top - r + i] -= c * m[i]
+    return [c % pk for c in prod] + [0] * (r - len(prod))
+
+
+@pytest.mark.parametrize(
+    "p, r", [(p, r) for p in (2, 3, 5, 7, 11) for r in range(2, 8) if p ** r <= 128]
+)
+def test_frobenius_image_is_the_root_above_t_to_the_p(p, r):
+    """For every k <= 8, sigma(t) is a root of the modulus mod p^k and is
+    t^p mod p, checked by polynomial arithmetic outside the model."""
+    for k in range(1, 9):
+        witt = WittRingModel(p, r, k)
+        m, pk, rho = witt.modulus, witt.pk, list(witt.frobenius_image)
+        value = [0] * r
+        for c in reversed(m):
+            value = _mulmod(value, rho, m, pk)
+            value[0] = (value[0] + c) % pk
+        assert value == [0] * r, (p, r, k)
+        t_p = [1]
+        for _ in range(p):
+            t_p = _mulmod(t_p, [0, 1], m, p)
+        assert [c % p for c in rho] == t_p, (p, r, k)
+
+
+def _commutator_generators(alg):
+    gens = {"F": alg.frobenius_gen(), "V": alg.verschiebung_gen()}
+    if alg.r > 1:
+        gens["t"] = alg.basis_element(0, alg.witt.from_coords([0, 1]))
+    # a g of several terms, whose blocks meet in the same entries
+    gens["sum"] = alg.add(alg.add(gens["F"], gens["V"]), gens.get("t", alg.zero()))
+    return gens
+
+
+def _center_report(alg):
+    try:
+        return verify_center(alg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _commutator_sets(q, max_degree):
+    """Every singleton of the cell; at q = 3, 4 and 9 also every pair of
+    degree-2 classes."""
+    classes = enumerate_weil(GlobalContext.from_q(q), max_degree)
+    sets = [[cls] for cls in classes]
+    if q in (3, 4, 9):
+        quadratic = [cls for cls in classes if cls.polynomial.degree == 2]
+        sets += [[a, b] for i, a in enumerate(quadratic) for b in quadratic[i + 1:]]
+    return sets
+
+
+@pytest.mark.parametrize("q, max_degree", GRID)
+def test_commutator_rows(q, max_degree, monkeypatch):
+    """The block-built commutator matrix equals the product loop's for F, V
+    and t alone and for their sum, and `verify_center` gives the same report
+    on either."""
+    bounds = set()
+    for classes in _commutator_sets(q, max_degree):
+        for k in (3, 5):
+            alg = build_dieudonne(weil_set(classes), k)
+            bounds.add(alg.n_bound)
+            for name, g in _commutator_generators(alg).items():
+                assert dieudonne._commutator_rows(alg, [g]) == old_commutator_rows(alg, [g]), (classes, k, name)
+            new = _center_report(alg)
+            with monkeypatch.context() as patch:
+                patch.setattr(dieudonne, "_commutator_rows", old_commutator_rows)
+                assert _center_report(alg) == new, (classes, k)
+    # N = 1, where F itself is a rewritten vector, occurs wherever r < 5
+    assert (1 in bounds) == (q != 32)
