@@ -15,10 +15,11 @@ from the elementary divisors of the commutator matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .central_orders import build_order
 from .checks import verify
-from .intmatrix import rref_mod_p, zpk_canonical, zpk_smith, zpk_solve
+from .intmatrix import integer_inverse, zpk_canonical, zpk_smith
 from .padic import WittRingModel
 from .tablering import TableRing, lift_idempotent, split_idempotents
 from .weil import slope_type
@@ -360,16 +361,15 @@ def ordinary_matrix_check(alg, search_cap=20000):
             columns.append(_vec_of_matrix(twist))
     phi_rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
 
-    ech, piv = rref_mod_p([[c % p for c in row] for row in phi_rows], p)
-    if len(ech) != dim:
+    try:  # X Phi = e I; Phi is invertible mod p exactly when p does not divide e
+        x, e = integer_inverse(phi_rows)
+        scale = pow(e, -1, p ** k)
+    except ValueError:
         return OrdinaryMatrixReport("inconclusive", "module map not invertible")
     idem_elements = []
     for j in range(r):
         target = _vec_of_matrix([at(j, ring.one) if i == j else zero for i in range(r)])
-        sol = zpk_solve(phi_rows, target, p, k, dim)
-        if sol is None:
-            return OrdinaryMatrixReport("inconclusive", "idempotent pullback failed")
-        idem_elements.append(alg.from_coords(sol))
+        idem_elements.append(alg.from_coords([scale * sum(map(mul, row, target)) for row in x]))
     # verify inside the algebra
     total = alg.zero()
     for e in idem_elements:
@@ -460,22 +460,18 @@ def _solve_norm_equation(witt, tensor, target, w0, search_cap):
 
 def _trace_one_element(witt):
     """w0 in the Witt model with trace sum sigma^i(w0) = 1, which exists
-    because the trace of an unramified extension is onto."""
-    r, p, k = witt.r, witt.p, witt.k
-    if r == 1:
-        return witt.one()
-    rows = []
-    for j in range(r):
-        e = witt.from_coords([1 if t == j else 0 for t in range(r)])
+    because the trace of an unramified extension is onto: each Tr(t^j) lies
+    in Z/p^k, one of them is a unit, and w0 = Tr(t^j)^(-1) t^j for the first
+    such j."""
+    for j in range(witt.r):
+        e = witt.from_coords([1 if t == j else 0 for t in range(witt.r)])
         tr = witt.zero()
-        for i in range(r):
+        for i in range(witt.r):
             tr = witt.add(tr, witt.sigma(e, i))
-        rows.append(tr)
-    mat = [[rows[j][i] for j in range(r)] for i in range(r)]
-    rhs = [1] + [0] * (r - 1)
-    sol = zpk_solve(mat, rhs, p, k, r)
-    verify(sol is not None, "the trace of the Witt model is not onto")
-    return witt.from_coords(sol)
+        verify(not any(tr[1:]), "a trace of the Witt model is not in Z/p^k")
+        if tr[0] % witt.p:
+            return witt.scal(pow(tr[0], -1, witt.pk), e)
+    verify(False, "the trace of the Witt model is not onto")
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,18 @@ forms come back as tuples of int tuples.  `integer_rows` clears the
 denominators of Fraction rows.  `hermite_rows` is the one Hermite core: a
 row HNF that carries no transform.  `hermite_normal_form` runs it on
 [M | I] to read off U, and `kernel_basis` on [M^T | I]; the callers that
-only need the rows call it directly.  The Smith form tracks both
+only need the rows call it directly.  The Smith form alternates
+`hermite_normal_form` on the columns and on the rows, accumulating both
 unimodular transforms.  Pivoting always selects a smallest-absolute-value
 nonzero entry, which keeps intermediate growth tame at the sizes this
 library works with.  `integer_inverse` is the one exact inverter: a
 fraction-free Gauss-Jordan solve (Bareiss 1968).  On it,
 `IntegerLattice`, the one integer type of the central and the p-maximal
 orders, finds coordinates and multiplication tables by exact division;
-`mul_mod` is the one product modulo a monic over Z.  A few mod-p and
-mod-p^k helpers live here as well; `rref_mod_p` is the one echelon form
-mod p.
+a `tablering` unit's inverse and the Dieudonne ordinary pullback are
+e^(-1) X mod p^k.  `mul_mod` is the one product modulo a monic over Z.  A
+few mod-p and mod-p^k helpers live here as well; `rref_mod_p` is the one
+echelon form mod p.
 """
 
 from __future__ import annotations
@@ -163,86 +165,53 @@ def smith_normal_form(rows):
     """Smith normal form with transforms: returns (U, D, V), U*M*V = D.
 
     D is diagonal with d1 | d2 | ..., all diagonal entries nonnegative;
-    U and V are unimodular.
+    U and V are unimodular.  Rounds of a column pass (`hermite_normal_form`
+    of M^T, accumulating V) and a row pass (of M, accumulating U) run until
+    M is diagonal; where d_i does not divide d_(i+1), row i+1 is added into
+    row i and the rounds go on, the column pass first (a row pass would
+    reduce the new entry away).  They end.  Call a pivot finished when it is
+    positive, the rest of its row and column is zero and the pivots before
+    it are finished; passes leave finished pivots alone.  After the first
+    pass, each pass leaves M diagonal, finishes the first unfinished pivot
+    or replaces it by a proper divisor (0 is a multiple of every integer),
+    since it becomes the gcd of its row or column, and a row addition with
+    the column pass after it replaces d_i by gcd(d_i, d_(i+1)).  So the
+    diagonal falls in the lexicographic divisibility order, which has no
+    infinite descent.
     """
     nr, nc = _shape(rows)
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(i1, i2, c):  # row i1 -= c * row i2
-        for j in range(nc):
-            a[i1][j] -= c * a[i2][j]
-        for j in range(nr):
-            u[i1][j] -= c * u[i2][j]
-
-    def col_op(j1, j2, c):  # col j1 -= c * col j2
-        for i in range(nr):
-            a[i][j1] -= c * a[i][j2]
-        for i in range(nc):
-            v[i][j1] -= c * v[i][j2]
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for i in range(nr):
-            a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
-        for i in range(nc):
-            v[i][j1], v[i][j2] = v[i][j2], v[i][j1]
-
-    def reduce_block(t):
-        """Diagonalize the trailing block starting at (t, t)."""
-        while t < min(nr, nc):
-            piv = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    if a[i][j] != 0 and (
-                        piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])
-                    ):
-                        piv = (i, j)
-            if piv is None:
-                return
-            while piv is not None:
-                swap_rows(t, piv[0])
-                swap_cols(t, piv[1])
-                for i in range(t + 1, nr):
-                    if a[i][t]:
-                        row_op(i, t, a[i][t] // a[t][t])
-                for j in range(t + 1, nc):
-                    if a[t][j]:
-                        col_op(j, t, a[t][j] // a[t][t])
-                # the smallest remainder left in row or column t is the next
-                # pivot, which keeps the entries from growing exponentially
-                rest = [(i, t) for i in range(t + 1, nr) if a[i][t]]
-                rest += [(t, j) for j in range(t + 1, nc) if a[t][j]]
-                piv = min(rest, key=lambda ij: abs(a[ij[0]][ij[1]]), default=None)
-            t += 1
-
-    reduce_block(0)
-
-    # enforce the divisibility chain: fold a violating d_{j} back into the
-    # block at i and rediagonalize from there
     n = min(nr, nc)
+    a, u, v = [list(r) for r in rows], _identity(nr), _identity(nc)
     while True:
-        bad = None
-        for i in range(n - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if (x == 0 and y != 0) or (x != 0 and y % x != 0):
-                bad = i
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            d = [a[i][i] for i in range(n)]
+            bad = [i for i in range(n - 1) if (d[i + 1] % d[i] if d[i] else d[i + 1])]
+            if not bad:
                 break
-        if bad is None:
-            break
-        row_op(bad, bad + 1, -1)  # row i += row i+1
-        reduce_block(bad)
-
+            for m in (a, u):
+                m[bad[0]] = [x + y for x, y in zip(m[bad[0]], m[bad[0] + 1])]
+        h, w = hermite_normal_form(_transpose(a))  # W M^T = H, so M W^T = H^T
+        a, v = _transpose(h), _matmul(v, _transpose(w))
+        h, w = hermite_normal_form(a)
+        a, u = [list(r) for r in h], _matmul(w, u)
     for i in range(n):
         if a[i][i] < 0:
-            for j in range(nc):
-                v[j][i] = -v[j][i]
             a[i][i] = -a[i][i]
+            for row in v:
+                row[i] = -row[i]
     return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _matmul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
 def hermite_rows(rows):
@@ -382,21 +351,18 @@ def zpk_canonical(rows, p, k):
     return tuple(out)
 
 
-def zpk_smith(rows, p, k, ncols, track_u=False):
-    """Smith form over the local ring Z/p^k: returns (exponents, V) or
-    (exponents, V, U) with U*A*V = diag(p^exponents) mod p^k; U, V square
-    with unit determinant; exponents capped at k.  Entries stay reduced mod
-    p^k, so there is no coefficient swell.
+def zpk_smith(rows, p, k, ncols):
+    """Smith form over the local ring Z/p^k: returns (exponents, V) with
+    U*A*V = diag(p^exponents) mod p^k for some U; V square with unit
+    determinant; exponents capped at k.  Entries stay reduced mod p^k, so
+    there is no coefficient swell.
     """
     q = p ** k
     a = [[c % q for c in row] for row in rows]
     nr = len(a)
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if track_u else None
+    v = _identity(ncols)
 
-    def val(x):
-        if x == 0:
-            return k
+    def val(x):  # x != 0
         n = 0
         while x % p == 0:
             x //= p
@@ -422,31 +388,22 @@ def zpk_smith(rows, p, k, ncols, track_u=False):
             break
         bi, bj = best
         a[t], a[bi] = a[bi], a[t]
-        if track_u:
-            u[t], u[bi] = u[bi], u[t]
         for row in a:
             row[t], row[bj] = row[bj], row[t]
         for row in v:
             row[t], row[bj] = row[bj], row[t]
-        piv = a[t][t]
         w = best_v
-        unit = piv // p ** w
+        unit = a[t][t] // p ** w
         # normalize the pivot to exactly p^w (unit row operation)
-        unit_inv_full = pow(unit, -1, q)
         if unit != 1:
+            unit_inv = pow(unit, -1, q)
             for j in range(t, ncols):
-                a[t][j] = (a[t][j] * unit_inv_full) % q
-            if track_u:
-                for j in range(nr):
-                    u[t][j] = (u[t][j] * unit_inv_full) % q
+                a[t][j] = (a[t][j] * unit_inv) % q
         for i in range(t + 1, nr):
             if a[i][t]:
                 quot = (a[i][t] // p ** w) % (p ** (k - w))
                 for j in range(t, ncols):
                     a[i][j] = (a[i][j] - quot * a[t][j]) % q
-                if track_u:
-                    for j in range(nr):
-                        u[i][j] = (u[i][j] - quot * u[t][j]) % q
         for j in range(t + 1, ncols):
             if a[t][j]:
                 quot = (a[t][j] // p ** w) % (p ** (k - w))
@@ -456,29 +413,4 @@ def zpk_smith(rows, p, k, ncols, track_u=False):
                     v[i][j] = (v[i][j] - quot * v[i][t]) % q
         exps.append(w)
         t += 1
-    if track_u:
-        return exps, v, u
     return exps, v
-
-
-def zpk_solve(rows, rhs, p, k, ncols):
-    """One solution x of A x = rhs mod p^k, or None when inconsistent."""
-    q = p ** k
-    exps, v, u = zpk_smith(rows, p, k, ncols, track_u=True)
-    nr = len(rows)
-    # D y = U rhs with D = diag(p^exps)
-    ub = [sum(u[i][j] * rhs[j] for j in range(nr)) % q for i in range(nr)]
-    y = [0] * ncols
-    for i in range(nr):
-        e = exps[i] if i < len(exps) else k
-        target = ub[i]
-        if e >= k:
-            if target % q:
-                return None
-            continue
-        pe = p ** e
-        if target % pe:
-            return None
-        y[i] = (target // pe) % (p ** (k - e))
-    return [sum(v[i][j] * y[j] for j in range(ncols)) % q for i in range(ncols)]
-

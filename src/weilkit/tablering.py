@@ -6,7 +6,8 @@ the local structure of every order in weilkit: O/pO of a p-maximal order
 (its nilradical and primitive idempotents, one per place above p), the same
 order mod p^N (the valuation at a place), and the central order mod p^k
 under the Dieudonne matrix structure.  Over Z the product is
-`table_product`, unreduced.
+`table_product`, unreduced.  The inverse of a unit comes from
+`intmatrix.integer_inverse` on its multiplication matrix.
 
 The primitive idempotents of a ring A over F_p come from the Berlekamp
 subalgebra of S = A/J, J the nilradical, split by Lagrange projectors, and
@@ -17,9 +18,11 @@ are lifted through J, and to p^k, by the Newton step e <- 3e^2 - 2e^3
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import gfpoly as gp
 from .checks import verify
-from .intmatrix import nullspace_mod_p, rref_mod_p
+from .intmatrix import integer_inverse, nullspace_mod_p, rref_mod_p
 
 
 def table_product(table, u, v):
@@ -80,23 +83,19 @@ class TableRing:
         return self.one if result is None else result
 
     def inv(self, u):
-        """Inverse of a unit: the echelon form of (u b_0 .. u b_(d-1) | 1)
-        mod p, then Newton steps x <- x (2 - u x), each doubling the
-        precision.  u is a unit exactly when the first d columns are
-        pivots, and then the solution mod p is unique."""
-        d = self.d
-        cols = [self.mul(u, self.basis(i)) for i in range(d)]
-        ech, piv = rref_mod_p([[col[t] for col in cols] + [self.one[t]] for t in range(d)], self.p)
-        if piv != list(range(d)):
-            raise ZeroDivisionError("not a unit")
-        x = tuple(row[d] for row in ech)
-        two = self.scal(2, self.one)
-        prec = 1
-        while prec < self.k:
-            x = self.mul(x, self.sub(two, self.mul(u, x)))
-            prec *= 2
-        verify(self.mul(u, x) == self.one, "inverse lifting failed")
-        return x
+        """Inverse of a unit.  u is a unit exactly when its multiplication
+        matrix M (column i is u b_i) is invertible mod p, that is when p does
+        not divide e = +-det M; then X M = e I from `integer_inverse` gives
+        u^(-1) = e^(-1) X 1 mod p^k."""
+        cols = [self.mul(u, self.basis(i)) for i in range(self.d)]
+        try:
+            x, e = integer_inverse(list(zip(*cols)))
+            scale = pow(e, -1, self.q)
+        except ValueError:  # det M = 0, or p divides it
+            raise ZeroDivisionError("not a unit") from None
+        inv = self.scal(scale, [sum(map(mul, row, self.one)) for row in x])
+        verify(self.mul(u, inv) == self.one, "inverse check failed")
+        return inv
 
 
 def lift_idempotent(ring, e):

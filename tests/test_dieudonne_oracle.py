@@ -8,7 +8,7 @@ check built its commutator matrix from two generic products per unit
 vector and generator.  They are copied here unchanged, apart from reading
 the central order's (F, V, 1) coordinates through
 `CentralOrder.generators`, and the library, which now runs them on
-`tablering.TableRing`, one product helper, one Newton inverse and the
+`tablering.TableRing`, one product helper, one exact inverse and the
 product rules block by block, must give the same bytes.
 """
 
@@ -431,7 +431,7 @@ class _WittTensor:
             return False
 
     def inv(self, x):
-        from weilkit.intmatrix import zpk_solve
+        from test_intmatrix_oracle import zpk_solve
 
         p, k = self.ring.p, self.ring.k
         dim = self.r * self.ring.d
@@ -590,7 +590,8 @@ def old_ordinary_matrix_check(alg, search_cap=20000):
             columns.append(_vec_of_matrix(twist, r, deg))
     phi_rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
 
-    from weilkit.intmatrix import rref_mod_p, zpk_solve
+    from weilkit.intmatrix import rref_mod_p
+    from test_intmatrix_oracle import zpk_solve
 
     ech, piv = rref_mod_p([[c % p for c in row] for row in phi_rows], p)
     if len(ech) != dim:
@@ -681,7 +682,7 @@ def _solve_norm_equation(tensor, target, search_cap):
 
 def _trace_one_element(tensor):
     """w0 in the Witt model with trace sum sigma^i(w0) = 1."""
-    from weilkit.intmatrix import zpk_solve
+    from test_intmatrix_oracle import zpk_solve
 
     witt = tensor.witt
     r, p, k = witt.r, witt.p, witt.k

@@ -9,6 +9,7 @@ from weilkit.intmatrix import (
     nullspace_mod_p,
     smith_normal_form,
     zpk_canonical,
+    zpk_smith,
 )
 
 
@@ -188,3 +189,34 @@ def test_zpk_canonical_module_equality():
     assert zpk_canonical(gens1, p, k) == zpk_canonical(gens2, p, k)
     gens3 = [(1, 0), (0, 1)]
     assert zpk_canonical(gens1, p, k) != zpk_canonical(gens3, p, k)
+
+
+def _valuation(x, p):
+    n = 0
+    while x % p == 0:
+        x //= p
+        n += 1
+    return n
+
+
+def test_zpk_smith_against_the_smith_form_over_z():
+    """The exponents are min(v_p(d_i), k) for the d_i of the Smith form over
+    Z, V is invertible mod p, and column j of A V is 0 mod p^(e_j)."""
+    rng = random.Random(7)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        p, k = rng.choice((2, 3, 5)), rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.5:  # entries with a common factor of p
+            rows = [[p ** rng.randint(0, 2) * c for c in row] for row in rows]
+        exps, v = zpk_smith(rows, p, k, nc)
+        _, d, _ = smith_normal_form(rows)
+        diag = [d[i][i] for i in range(min(nr, nc))]
+        padded = exps + [k] * (min(nr, nc) - len(exps))
+        assert padded == [min(_valuation(x, p), k) if x else k for x in diag]
+        assert det(v) % p
+        q = p ** k
+        for j in range(nc):
+            e = exps[j] if j < len(exps) else k
+            col = [sum(a * v[i][j] for i, a in enumerate(row)) % q for row in rows]
+            assert all(c % p ** e == 0 for c in col)
