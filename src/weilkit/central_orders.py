@@ -13,8 +13,9 @@ Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968; Cohen, GTM 138,
 table is integral, i.e. the lattice is closed under multiplication, exactly
 when none of its exact divisions leaves a remainder.  The defining relations
 F V = q and the vanishing of the symmetric polynomial of w are then verified
-on the integer table, and indices are ratios of integer determinants.  Every
-check raises `VerificationError`, also under `python -O`.
+on the integer table; `index_in` is a ratio of integer determinants and
+`product_embedding_index` a resultant.  Every check raises
+`VerificationError`, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import cached_property
 
 from .checks import verify
 from .intmatrix import IntegerLattice, det, hermite_rows, integer_rows, mul_mod, poly_mod
+from .intpoly import resultant
 from .tablering import table_product
 from .weil import WeilSet, weil_set
 
@@ -95,6 +97,12 @@ class CentralOrder:
         }
 
 
+def basis_exponents(n):
+    """The basis F^(n//2) ... F, 1, V ... V^((n-1)//2) of R_w for deg w = n,
+    as exponents k: F^k for k > 0, 1 for k = 0 and V^(-k) for k < 0."""
+    return range(n // 2, -((n + 1) // 2), -1)
+
+
 def build_order(w):
     """Construct R_w with verified closure and defining relations."""
     poly = w.polynomial
@@ -102,15 +110,15 @@ def build_order(w):
     c0 = poly.coeffs[0]
     # x V = q, so c0 V = u = -q (a_1 + a_2 x + ... + x^(n-1))
     u = [-w.context.q * c for c in poly.coeffs[1:]]
-    labels, vectors = [], []
-    for k in range(n // 2, -1, -1):
-        labels.append("1" if k == 0 else "F^%d" % k if k > 1 else "F")
-        vectors.append(tuple(Fraction(int(i == k)) for i in range(n)))
-    power = [1] + [0] * (n - 1)
-    for k in range(1, (n - 1) // 2 + 1):
-        labels.append("V^%d" % k if k > 1 else "V")
-        power = mul_mod(power, u, poly)
-        vectors.append(tuple(Fraction(c, c0 ** k) for c in power))
+    labels, vectors, power = [], [], [1] + [0] * (n - 1)
+    for k in basis_exponents(n):
+        name = "1" if k == 0 else "F" if k > 0 else "V"
+        labels.append(name if abs(k) <= 1 else "%s^%d" % (name, abs(k)))
+        if k >= 0:
+            vectors.append(tuple(Fraction(int(i == k)) for i in range(n)))
+        else:
+            power = mul_mod(power, u, poly)
+            vectors.append(tuple(Fraction(c, c0 ** -k) for c in power))
     order = CentralOrder(w, tuple(labels), tuple(vectors))
     _verify_relations(order)
     return order
@@ -198,25 +206,45 @@ def quotient_map(w_small, w_big):
     return tuple(zip(*images))
 
 
+def _power_basis_index(n, c0, q):
+    """i_w = [R_w : Z[F]] for P_w of degree n and constant term c0."""
+    m = (n - 1) // 2
+    return Fraction(abs(c0) ** m, q ** (m * (m + 1) // 2))
+
+
 def product_embedding_index(cls_a, cls_b):
-    """Index of R_{{a,b}} inside R_a x R_b: |det| of the coordinates in
-    R_a x R_b of the basis of R_{{a,b}}, reduced modulo P_a and modulo P_b
-    (the CRT identification of Q[x]/(P_a P_b) with the product of fields)."""
-    order_pair = build_order(weil_set([cls_a, cls_b]))
-    order_a = build_order(weil_set([cls_a]))
-    order_b = build_order(weil_set([cls_b]))
-    rows = [
-        a + b
-        for a, b in zip(_image_coords(order_a, order_pair), _image_coords(order_b, order_pair))
-    ]
-    index = abs(det(rows))
-    verify(index != 0, "classes share a factor")
-    return index
+    """Index of R_{a,b} inside R_a x R_b under the CRT identification of
+    Q[x]/(P_a P_b) with the product of the two fields: |Res(P_a, P_b)| i_a
+    i_b / i_ab, where i_w = [R_w : Z[F]] = |c_0|^m / q^(m(m+1)/2) for P_w =
+    x^n + c_(n-1) x^(n-1) + ... + c_0 and m = (n - 1) // 2.
+
+    Proof.  F acts as x, so Z[F] = Z[x]/(P_w) lies in R_w.  The rows F^k of
+    the basis of R_w are the power-basis vectors 1, ..., x^(n//2), and
+    c_0 x^(-k) = -(x^(n-k) + c_(n-1) x^(n-k-1) + ... + c_k) - sum_(0<i<k)
+    c_i x^(-(k-i)).  So modulo the earlier V rows, V^k = q^k x^(-k) has the
+    leading entry -q^k / c_0 at x^(n-k), and n - k > n//2 for k <= m: the
+    basis matrix is triangular up to row operations, with |det| =
+    q^(m(m+1)/2) / |c_0|^m = 1 / i_w.  Then disc R_w = disc P_w / i_w^2
+    (Cohen, GTM 138, 4.4), disc(P_a P_b) = disc P_a disc P_b Res(P_a,
+    P_b)^2, and disc R_{a,b} = [R_a x R_b : R_{a,b}]^2 disc R_a disc R_b.
+    """
+    weil_set([cls_a, cls_b])  # refuses equal classes and mixed contexts
+    return _embedding_index(cls_a.polynomial, cls_b.polynomial, cls_a.context.q)
+
+
+def _embedding_index(poly_a, poly_b, q):
+    res = resultant(poly_a, poly_b)
+    verify(res != 0, "classes share a factor")
+    (n_a, a0), (n_b, b0) = (poly_a.degree, poly_a.coeffs[0]), (poly_b.degree, poly_b.coeffs[0])
+    index = abs(res) * _power_basis_index(n_a, a0, q) * _power_basis_index(n_b, b0, q)
+    index /= _power_basis_index(n_a + n_b, a0 * b0, q)
+    verify(index.denominator == 1, "embedding index is not an integer")
+    return int(index)
 
 
 def connected_components(w):
     """Partition of the classes of w by connectivity of Spec(R_w): two
-    classes lie in one component iff the index of R_{{a,b}} inside
+    classes lie in one component iff the index of R_{a,b} inside
     R_a x R_b is not 1."""
     classes = list(w.classes)
     n = len(classes)
@@ -228,9 +256,10 @@ def connected_components(w):
             i = parent[i]
         return i
 
+    q = w.context.q
     for i in range(n):
         for j in range(i + 1, n):
-            if product_embedding_index(classes[i], classes[j]) != 1:
+            if _embedding_index(classes[i].polynomial, classes[j].polynomial, q) != 1:
                 pi, pj = find(i), find(j)
                 if pi != pj:
                     parent[pi] = pj

@@ -202,7 +202,10 @@ def cmd_dieudonne_center(args):
     w = _weil_set_of(args.poly, ctx)
     precision = args.precision or max(4, 2 * ctx.r + 2)
     alg = build_dieudonne(w, precision)
-    report = verify_center(alg)
+    try:
+        report = verify_center(alg)
+    except ValueError as e:  # precision too low for a conclusive center check
+        raise RequestError(str(e))
     return {
         "q": ctx.q,
         "polys": [_poly_list(c.polynomial) for c in w.classes],

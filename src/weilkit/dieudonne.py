@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .central_orders import build_order
+from .central_orders import basis_exponents, build_order
 from .checks import verify
 from .intmatrix import integer_inverse, zpk_canonical, zpk_smith
 from .padic import WittRingModel
@@ -183,17 +183,6 @@ class DieudonneAlgebra:
             tuple(coords[s * r + t] % self.witt.pk for t in range(r))
             for s in range(self.slots)
         )
-
-    def central_order_images(self):
-        """Slot vectors of the central-order basis F^a, 1, V^b inside the
-        algebra (out-of-range powers rewritten)."""
-        order = build_order(self.weil_set)
-        images = []
-        for label in order.basis_labels:
-            name, _, power = label.partition("^")
-            sign = {"1": 0, "F": 1, "V": -1}[name]
-            images.append(self.element_for_index(sign * self.r * int(power or 1)))
-        return order, images
 
 
 def build_dieudonne(weil_set, precision):
@@ -544,7 +533,8 @@ def verify_center(alg):
         if any(c % q_eff for c in col):
             gens.append(tuple(c % q_eff for c in col))
     center_canon = zpk_canonical(gens, p, effective)
-    _, images = alg.central_order_images()
+    # the central-order basis, F^k at index k r (out-of-range powers rewritten)
+    images = [alg.element_for_index(k * alg.r) for k in basis_exponents(alg.weil_set.degree)]
     image_rows = [tuple(c % q_eff for c in alg.to_coords(im)) for im in images]
     image_canon = zpk_canonical(image_rows, p, effective)
     passed = center_canon == image_canon

@@ -248,11 +248,6 @@ def _divide(a, b):
     return tuple(q)
 
 
-def gcd_poly(a, b):
-    """Primitive gcd over Q of two integer polynomials (monic-normalized sign)."""
-    return IntPolynomial(_normal(_sturm_sequence(a.coeffs, b.coeffs)[-1]))
-
-
 def is_squarefree(p):
     if p.is_zero:
         return False
@@ -276,12 +271,6 @@ def divmod_exact(a, b):
 
 
 # -- Sturm machinery -----------------------------------------------------
-
-
-def sturm_chain(p):
-    """Sturm chain of p as integer polynomials; when p is not squarefree
-    it ends in gcd(p, p') up to a constant factor."""
-    return [IntPolynomial(f) for f in _sturm_sequence(p.coeffs, _derivative(p.coeffs))]
 
 
 def _variations(values):
@@ -381,15 +370,6 @@ def surd_floor(num_a, num_b, s, den):
     while surd_sign(num_a - den * lo, num_b, s) < 0:
         lo -= 1
     return lo
-
-
-def all_roots_below_surd(poly, a, b, s):
-    """For a real-rooted poly with positive lc: are all roots < a + b*sqrt(s)?
-
-    Uses the derivative-sign criterion; the caller must have verified that
-    every root of poly is real.
-    """
-    return all(hi > 0 for hi, _lo in _derivative_signs(poly.coeffs, a, b, s))
 
 
 def _derivative_signs(cs, a, b, s):

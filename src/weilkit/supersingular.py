@@ -91,12 +91,15 @@ def _congruent(x, p):
 @dataclass(frozen=True)
 class OrderPresentation:
     """A Z-order inside M_2(Z[i]): HNF basis rows in the 8 integer
-    coordinates, the congruence predicate, and the index in M_2(Z[i])."""
+    coordinates, the congruence predicate, the index in M_2(Z[i]) and the
+    verified closure table."""
 
     p: int
     basis: tuple  # 8 rows of 8 ints
     index: int
     description: str
+    # table[i][j] = the 8 coordinates of b_i b_j, verified to lie in the order
+    table: tuple = field(repr=False, compare=False)
     # (pivot column, row) of each nonzero basis row, by pivot column
     _pivots: tuple = field(init=False, repr=False, compare=False)
 
@@ -149,12 +152,12 @@ def dieudonne_matrix_order(p):
         basis=rows,
         index=index,
         description="p | c and a = conj(d) (mod p) in M_2(Z[i])",
+        table=tuple(tuple(_coord_mul(x, y) for y in rows) for x in rows),
     )
     for x in rows:
         _verify(_congruent(x, p), "basis leaves the predicate")
-    for x in rows:
-        for y in rows:
-            prod = _coord_mul(x, y)
+    for products in order.table:
+        for prod in products:
             _verify(_congruent(prod, p), "order not closed")
             _verify(order.contains(prod), "product escapes the lattice")
     # the generators psi(F), psi(V) lie in the order
@@ -170,35 +173,31 @@ def endomorphism_order(p):
     center_rows = _center_lattice(order)
     _verify(len(center_rows) == 2, "center rank must be 2")
     # center = { (x + y*ip) * identity : x, y in Z }: the scalar z*I lies in
-    # the order iff z = conj(z) mod p, i.e. p | Im(z)
-    expected = [
+    # the order iff z = conj(z) mod p, i.e. p | Im(z); in Hermite form, as
+    # `_center_lattice` returns it
+    expected = (
         (1, 0, 0, 0, 0, 0, 1, 0),
         (0, p, 0, 0, 0, 0, 0, p),
-    ]
-    _verify(hermite_rows(expected) == hermite_rows(center_rows), "center is not Z[ip]")
+    )
+    _verify(center_rows == expected, "center is not Z[ip]")
     return order, center_rows
 
 
 def _center_lattice(order):
-    """Z-basis of the center of the order: elements commuting with all
-    basis matrices."""
-    # linear map per order-basis coordinate: z = sum t_j b_j, conditions
-    # [z, b] = 0 for every basis matrix b
-    columns = []
-    for zt in order.basis:
-        col = []
-        for b in order.basis:
-            col.extend(u - v for u, v in zip(_coord_mul(zt, b), _coord_mul(b, zt)))
-        columns.append(col)
-    kern = kernel_basis(tuple(zip(*columns)))
+    """Z-basis of the center of the order, in Hermite form: the z = sum t_j
+    b_j with [z, b_t] = sum t_j (b_j b_t - b_t b_j) = 0 for every basis
+    matrix b_t, read from the closure table."""
+    table = order.table
+    n = len(table)
+    equations = {
+        tuple(table[j][t][c] - table[t][j][c] for j in range(n))
+        for t in range(n)
+        for c in range(8)
+    }
+    equations.discard((0,) * n)
     out = []
-    for vec in kern:
-        coords = [0] * 8
-        for t, c in enumerate(vec):
-            if c:
-                for j in range(8):
-                    coords[j] += c * order.basis[t][j]
-        out.append(tuple(coords))
+    for vec in kernel_basis(sorted(equations)):
+        out.append(tuple(sum(c * b[j] for c, b in zip(vec, order.basis)) for j in range(8)))
     return tuple(hermite_rows(out))
 
 
@@ -375,22 +374,11 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
             raise ValueError("quotient map not surjective")
     if m % residue_dim:
         raise ValueError("quotient is not a Witt residue module")
-    # sublattice of Z^(n1+n2): {(x, y): map1 x = map2 y mod p}
-    gens = []
-    # p times everything
-    for i in range(n1 + n2):
-        row = [0] * (n1 + n2)
-        row[i] = p
-        gens.append(row)
-    # kernel representatives of the difference map
-    diff_rows = []
-    for t in range(m):
-        diff_rows.append(
-            [map1[t][j] % p for j in range(n1)]
-            + [(-map2[t][j]) % p for j in range(n2)]
-        )
-    for vec in nullspace_mod_p(diff_rows, p, n1 + n2):
-        gens.append([c % p for c in vec])
+    # sublattice of Z^(n1+n2): {(x, y): map1 x = map2 y mod p}, spanned by p
+    # times everything and kernel representatives of the difference map
+    gens = [[p * int(i == j) for j in range(n1 + n2)] for i in range(n1 + n2)]
+    diff_rows = [list(r1) + [-c for c in r2] for r1, r2 in zip(map1, map2)]
+    gens += nullspace_mod_p(diff_rows, p, n1 + n2)
     rows = tuple(hermite_rows(gens))
     _verify(len(rows) == n1 + n2, "pullback is not of full rank")
     index = abs(det(rows))
@@ -450,7 +438,7 @@ def glued_lattice(p, order=None):
         _verify(cr % p == 0 and ci % p == 0, "order row has p not dividing c")
         cols.append((ar, ai, cr // p, ci // p, br, bi, dr, di))
     _verify(
-        hermite_rows(cols) == hermite_rows(report.basis),
+        tuple(hermite_rows(cols)) == report.basis,
         "fiber product does not match the order columns",
     )
     return report

@@ -54,7 +54,7 @@ def _has_integer_root(poly):
 
 
 def is_irreducible(poly):
-    """Irreducibility over Q of a monic integer polynomial (degree <= 10).
+    """Irreducibility over Q of a monic integer polynomial, of any degree.
 
     Degrees 2 and 3 are decided in integers: a monic quadratic is
     irreducible iff its discriminant is not a square, and a monic cubic iff
@@ -64,6 +64,12 @@ def is_irreducible(poly):
     root beta of Q lies in (-2 sqrt q, 2 sqrt q), Q(beta) is totally real
     and beta^2 - 4q totally negative, so [Q(pi):Q] = 2 [Q(beta):Q] and P is
     irreducible exactly when Q is.
+
+    Higher degrees are settled by degree patterns mod a few primes when they
+    can be, and otherwise by a Zassenhaus subset search whose cost grows
+    exponentially in the number of modular factors: a degree-32 trace
+    polynomial of Swinnerton-Dyer type, with roots +-sqrt 2 +- ... +-
+    sqrt 11, takes seconds.
     """
     if not poly.is_monic:
         raise ValueError("monic polynomial required")

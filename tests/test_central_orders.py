@@ -160,6 +160,23 @@ def test_components_control_pair():
     assert len(comps) == 1
 
 
+def test_components_build_no_order(monkeypatch):
+    calls = []
+    monkeypatch.setattr(central_orders, "build_order", lambda w: calls.append(w))
+    w = weil_set(enumerate_weil(C3, 4)[:12])
+    assert len(connected_components(w)) >= 1
+    assert calls == []
+
+
+def test_components_of_sixteen_degree_four_classes():
+    """The first 16 degree-4 classes at q = 2 (total degree 64) form one
+    component."""
+    quartics = [c for c in enumerate_weil(C2, 4) if c.degree == 4][:16]
+    assert len(quartics) == 16
+    (component,) = connected_components(weil_set(quartics))
+    assert len(component) == 16
+
+
 def test_components_singleton():
     w = weil_set([validate_weil(P(9, 0, 1), C9)])
     assert len(connected_components(w)) == 1

@@ -7,8 +7,15 @@ the CRT idempotents through a rational extended gcd, and indices as
 renamed `FractionOrder`) and the integer route must agree with it exactly:
 bases, tables, F/V/1 coordinates, coordinates of arbitrary vectors,
 indices, quotient maps, embedding indices and error messages.
+
+`central_orders.product_embedding_index` has since become a closed form, a
+resultant times the indices of the orders over Z[F].  The lattice route it
+replaced (build R_{a,b}, R_a and R_b, then |det| of the coordinates of the
+basis of R_{a,b} in R_a x R_b) is kept below as `lattice_embedding_index`,
+and the closed form must agree with it on every pair of classes tested.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,9 +23,9 @@ from fractions import Fraction
 import pytest
 
 from weilkit import central_orders
-from weilkit.intmatrix import integer_rows, smith_normal_form
+from weilkit.intmatrix import det, integer_rows, smith_normal_form
 from weilkit.intpoly import IntPolynomial
-from weilkit.weil import GlobalContext, WeilSet, enumerate_weil, weil_set
+from weilkit.weil import GlobalContext, WeilSet, enumerate_weil, validate_weil, weil_set
 
 
 def _poly_mod(vec, poly):
@@ -569,3 +576,64 @@ def test_value_errors_match():
         with pytest.raises(ValueError) as e:
             fn(w, weil_set([a]))
         assert str(e.value) == "first set must be contained in the second"
+
+
+# -- the embedding index: closed form against the lattice route --------------
+
+
+def lattice_embedding_index(cls_a, cls_b):
+    """Index of R_{a,b} inside R_a x R_b: |det| of the coordinates in
+    R_a x R_b of the basis of R_{a,b}, reduced modulo P_a and modulo P_b
+    (the CRT identification of Q[x]/(P_a P_b) with the product of fields)."""
+    order_pair = central_orders.build_order(weil_set([cls_a, cls_b]))
+    order_a = central_orders.build_order(weil_set([cls_a]))
+    order_b = central_orders.build_order(weil_set([cls_b]))
+    rows = [
+        a + b
+        for a, b in zip(
+            central_orders._image_coords(order_a, order_pair),
+            central_orders._image_coords(order_b, order_pair),
+        )
+    ]
+    index = abs(det(rows))
+    assert index != 0, "classes share a factor"
+    return index
+
+
+def assert_indices_agree(pairs):
+    """The closed form equals the lattice route on every pair; returns the
+    set of indices seen."""
+    seen = set()
+    for a, b in pairs:
+        index = central_orders.product_embedding_index(a, b)
+        assert index == lattice_embedding_index(a, b), (a, b)
+        seen.add(index)
+    return seen
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_embedding_index_on_every_pair_of_a_cell(q):
+    seen = assert_indices_agree(itertools.combinations(cell_classes(q, 4), 2))
+    assert 1 in seen and len(seen) > 2
+
+
+def test_embedding_index_on_the_q9_cell():
+    """Every pair of total degree <= 6 of the (9, 4) cell and 600 seeded
+    pairs of two degree-4 classes; the 24,090 degree-8 pairs take about
+    25 s through the lattice route."""
+    classes = cell_classes(9, 4)
+    pairs = list(itertools.combinations(classes, 2))
+    small = [(a, b) for a, b in pairs if a.degree + b.degree <= 6]
+    large = [(a, b) for a, b in pairs if a.degree + b.degree == 8]
+    assert (len(small), len(large)) == (2938, 24090)
+    seen = assert_indices_agree(small + random.Random(26).sample(large, 600))
+    assert 1 in seen and len(seen) > 2
+
+
+@pytest.mark.parametrize("q", (2, 3, 8))
+def test_embedding_index_of_the_real_class(q):
+    """x^2 - q of odd r, which `enumerate_weil` never lists, with every
+    class of the (q, 4) cell."""
+    ctx = GlobalContext.from_q(q)
+    real = validate_weil(IntPolynomial((-q, 0, 1)), ctx)
+    assert_indices_agree((real, c) for c in enumerate_weil(ctx, 4))

@@ -81,6 +81,20 @@ def test_dieudonne_center(capsys):
     assert doc["center_rank"] == 2
 
 
+def test_dieudonne_center_precision_too_low(capsys):
+    """At k = 2 the commutator matrix's elementary divisors leave less than
+    2 digits: one error document and exit 1, not a traceback."""
+    code, doc, _ = invoke(
+        capsys, "--no-cache", "dieudonne-center", "--q", "9", "--poly", "9,0,1", "--precision", "2"
+    )
+    assert code == 1
+    assert doc == {
+        "schema": "weilkit/1",
+        "command": "dieudonne-center",
+        "error": "precision too low for a conclusive center check",
+    }
+
+
 def test_example_sec9(capsys):
     code, doc, _ = invoke(capsys, "example-sec9", "--p", "3")
     assert code == 0

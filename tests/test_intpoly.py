@@ -9,12 +9,13 @@ from weilkit.intpoly import (
     IntPolynomial,
     X,
     _infinity_variations,
+    _normal,
+    _sturm_sequence,
     _squarefree_chain,
     all_roots_in_open_surd_interval,
     discriminant,
     divmod_exact,
     eval_at_surd,
-    gcd_poly,
     is_squarefree,
     resultant,
     roots_at_most,
@@ -36,6 +37,11 @@ def from_roots(roots):
     for r in roots:
         out = out * poly(-r, 1)
     return out
+
+
+def gcd_poly(a, b):
+    """Primitive gcd over Q of two integer polynomials (monic-normalized sign)."""
+    return IntPolynomial(_normal(_sturm_sequence(a.coeffs, b.coeffs)[-1]))
 
 
 def count_real_roots(poly):

@@ -17,19 +17,34 @@ from math import gcd
 
 import pytest
 
-from test_intpoly import count_real_roots
+from test_intpoly import count_real_roots, gcd_poly
 from weilkit.intpoly import (
     IntPolynomial,
-    all_roots_below_surd,
+    _derivative,
+    _derivative_signs,
+    _sturm_sequence,
     all_roots_in_open_surd_interval,
     divmod_exact,
-    gcd_poly,
     is_squarefree,
     squarefree_part,
-    sturm_chain,
     sturm_count,
 )
 from weilkit.weil import _trace_polys_degree
+
+
+def sturm_chain(p):
+    """Sturm chain of p as integer polynomials; when p is not squarefree
+    it ends in gcd(p, p') up to a constant factor."""
+    return [IntPolynomial(f) for f in _sturm_sequence(p.coeffs, _derivative(p.coeffs))]
+
+
+def all_roots_below_surd(poly, a, b, s):
+    """For a real-rooted poly with positive lc: are all roots < a + b*sqrt(s)?
+
+    Uses the derivative-sign criterion; the caller must have verified that
+    every root of poly is real.
+    """
+    return all(hi > 0 for hi, _lo in _derivative_signs(poly.coeffs, a, b, s))
 
 
 class old:

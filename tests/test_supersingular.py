@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from weilkit.intmatrix import hermite_rows, kernel_basis
 from weilkit.supersingular import (
     LatticeModP,
     VerificationError,
+    _center_lattice,
     _congruent,
     _coord_mul,
     _semilinear,
@@ -263,6 +265,38 @@ def test_endomorphism_order_center():
         order, center = endomorphism_order(p)
         assert order.index == p ** 4
         assert center_index_in_gaussian_scalars(center, p) == p
+
+
+def old_center_lattice(order):
+    """The center route before the closure table: 128 fresh products, one
+    column of 64 commutator entries per basis matrix, and the kernel of all
+    64 rows."""
+    columns = []
+    for zt in order.basis:
+        col = []
+        for b in order.basis:
+            col.extend(u - v for u, v in zip(_coord_mul(zt, b), _coord_mul(b, zt)))
+        columns.append(col)
+    kern = kernel_basis(tuple(zip(*columns)))
+    out = []
+    for vec in kern:
+        coords = [0] * 8
+        for t, c in enumerate(vec):
+            if c:
+                for j in range(8):
+                    coords[j] += c * order.basis[t][j]
+        out.append(tuple(coords))
+    return tuple(hermite_rows(out))
+
+
+@pytest.mark.parametrize("p", (3, 7, 11, 43, 127))
+def test_center_from_the_table_matches_the_commutator_route(p):
+    order = dieudonne_matrix_order(p)
+    assert order.table == tuple(tuple(_coord_mul(x, y) for y in order.basis) for x in order.basis)
+    center = _center_lattice(order)
+    assert center == old_center_lattice(order)
+    assert center == ((1, 0, 0, 0, 0, 0, 1, 0), (0, p, 0, 0, 0, 0, 0, p))
+    assert endomorphism_order(p)[1] == center
 
 
 def test_stable_lattices_standard_module():
