@@ -24,10 +24,9 @@ import json
 import os
 import sys
 import threading
-from fractions import Fraction
 
 from . import __version__
-from .central_orders import build_order, connected_components, index_in
+from .central_orders import _power_basis_index, build_order, connected_components
 from .dieudonne import build_dieudonne, verify_center
 from .hondatate import (
     gamma_witnesses,
@@ -45,12 +44,15 @@ from .supersingular import (
 from .weil import GlobalContext, NotWeilError, enumerate_weil, validate_weil, weil_set
 
 SCHEMA = "weilkit/1"
-# example-sec9 closes p^2 + 1 cyclic submodules: 0.65 s at p = 127 (one Xeon vCPU, Python 3.11)
+# example-sec9 closes p^2 + 1 cyclic submodules: 0.38-0.44 s at p = 127 (one Xeon vCPU, Python 3.11)
 SEC9_MAX_P = 127
 # enumerate and ingest refuse a degree bound 2g with about 2^(g+1) q^(g(g+1)/4)
 # classes (within 30% from (2, 8) to (256, 4)) over this: (4, 8) has 33,441, in
 # 16 s (one Xeon vCPU, Python 3.11), and (9, 8) would have about 1.9 million
 ENUMERATE_MAX_CLASSES = 50_000
+# q is printed in decimal, and Python turns no int of more digits into a
+# string by default
+Q_MAX_DIGITS = 4300
 
 
 class RequestError(Exception):
@@ -86,8 +88,20 @@ def parse_context(args):
     if args.q is not None:
         return _context(GlobalContext.from_q, args.q)
     if args.p is not None and args.r is not None:
+        if args.p >= 2 and args.r >= 1 and _q_too_large(args.p, args.r):
+            raise RequestError("q = p^r has more than %d decimal digits" % Q_MAX_DIGITS)
         return _context(GlobalContext, args.p, args.r)
     raise RequestError("specify --q or both --p and --r")
+
+
+def _q_too_large(p, r):
+    """Whether q = p^r, for p >= 2 and r >= 1, has more than Q_MAX_DIGITS
+    decimal digits.  q >= 2^(r (bits(p) - 1)), and 2^(4 Q_MAX_DIGITS) is over
+    10^Q_MAX_DIGITS; below that exponent q has at most 8 Q_MAX_DIGITS bits
+    and is compared exactly."""
+    if r * (p.bit_length() - 1) > 4 * Q_MAX_DIGITS:
+        return True
+    return p ** r >= 10 ** Q_MAX_DIGITS
 
 
 def _poly_list(poly):
@@ -217,6 +231,13 @@ def cmd_dieudonne_center(args):
     }
 
 
+def _r_pi_index(p):
+    """[Z[x/p] : R_pi] for pi^2 = -p^2, as [Z[x/p] : Z[F]] / [R_pi : Z[F]]:
+    the basis (1, 0), (0, 1/p) of Z[x/p] has determinant 1/p on the power
+    basis of Z[F], and `_power_basis_index` is 1 at degree 2."""
+    return int(p / _power_basis_index(2, p * p, p * p))
+
+
 def cmd_example_sec9(args):
     p = args.p
     if p > SEC9_MAX_P:
@@ -229,17 +250,12 @@ def cmd_example_sec9(args):
     order, center = endomorphism_order(p)
     count, proper = lattice_class_count(p)
     glued = glued_lattice(p, order)
-    r_pi = build_order(weil_set([cls]))
-    gaussian = [
-        [Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1, p)],
-    ]
     return {
         "p": p,
         "q": p * p,
         "poly": _poly_list(cls.polynomial),
         "invariants": _record_payload(rec),
-        "r_pi_index_in_maximal": index_in(r_pi, gaussian),
+        "r_pi_index_in_maximal": _r_pi_index(p),
         "order_index": order.index,
         "order_basis": [list(r) for r in order.basis],
         "order_predicate": order.description,
@@ -301,8 +317,18 @@ def _read_records(path):
 
 
 def cmd_ingest(args):
+    """Validate the records of a file and diff them with the enumeration.
+
+    With --max-degree the enumeration comes first, and a record it holds is
+    taken from it instead of being validated: an enumerated class is a Weil
+    class, and `validate_weil` returns a class with the record's own
+    polynomial, so only its coefficients, which are equal, reach the
+    payload.  The file is read before anything else, so a missing file fails
+    first."""
     ctx = parse_context(args)
     records = _read_records(args.path)
+    bound = args.max_degree
+    known = {} if bound is None else {c.polynomial.coeffs: c for c in _enumerate_weil(ctx, bound)}
     rejected = []
     valid = []
     for lineno, q, coeffs in records:
@@ -313,22 +339,21 @@ def cmd_ingest(args):
             rejected.append({"line": lineno, "reason": "wrong-q"})
             continue
         try:
-            cls = validate_weil(IntPolynomial(coeffs), ctx)
+            poly = IntPolynomial(coeffs)
+            cls = known[poly.coeffs] if poly.coeffs in known else validate_weil(poly, ctx)
         except (NotWeilError, ValueError, TypeError) as e:
             reason = e.reason if isinstance(e, NotWeilError) else "malformed"
             rejected.append({"line": lineno, "reason": reason})
             continue
         valid.append(cls)
-    if args.max_degree is not None:
-        bound = args.max_degree
-    else:
+    if bound is None:
         bound = max((c.degree for c in valid), default=2)
         bound = min(bound + (bound % 2), 8)
         bound = max(bound, 2)
-    enumerated = {c.polynomial.coeffs for c in _enumerate_weil(ctx, bound)}
+        known = {c.polynomial.coeffs for c in _enumerate_weil(ctx, bound)}
     file_polys = {c.polynomial.coeffs for c in valid}
-    unknown = sorted(p for p in file_polys if p not in enumerated)
-    missing = sorted(p for p in enumerated if p not in file_polys)
+    unknown = sorted(p for p in file_polys if p not in known)
+    missing = sorted(p for p in known if p not in file_polys)
     return {
         "q": ctx.q,
         "degree_bound": bound,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from operator import mul
 
 from .checks import VerificationError, verify as _verify
@@ -121,6 +122,18 @@ class OrderPresentation:
         return not any(work)
 
 
+def _hermite_index(rows, n, name):
+    """The index in Z^n of the lattice with the Hermite rows `rows`, verified
+    to be n of them (of full rank).
+
+    Proof.  The pivot columns of Hermite rows increase strictly, so n of
+    them in n columns put the pivot of row k in column k with zeros to its
+    left: the basis matrix is upper triangular, and the index, its absolute
+    determinant, is the product of the pivots, which are positive."""
+    _verify(len(rows) == n, "%s is not of full rank" % name)
+    return prod(row[k] for k, row in enumerate(rows))
+
+
 def _congruence_lattice(p):
     """HNF basis of {p | c, a = conj(d) mod p} and its index in M_2(Z[i])."""
     gens = []
@@ -136,34 +149,36 @@ def _congruence_lattice(p):
     gens.append((0, 0, 0, 0, 0, 0, p, 0))
     gens.append((0, 0, 0, 0, 0, 0, 0, p))
     rows = tuple(hermite_rows(gens))
-    _verify(len(rows) == 8, "congruence lattice is not of full rank")
-    index = det(rows)
-    return rows, abs(index)
+    return rows, _hermite_index(rows, 8, "congruence lattice")
 
 
 def dieudonne_matrix_order(p):
     """The image of the integral Dieudonne ring inside M_2(Z[i]): the
-    congruence order of index p^4, with closure and predicate verified."""
+    congruence order of index p^4, with closure and predicate verified.
+
+    Membership is the predicate alone.  Proof.  The predicate lattice
+    L = {p | c, a = conj(d) mod p} is the kernel of the map Z^8 -> F_p^4,
+    x -> (c.re, c.im, a.re - d.re, a.im + d.im) mod p, which is onto (the
+    coordinates c.re, c.im, a.re and a.im hit the four unit vectors), so
+    [Z^8 : L] = p^4.  Every Hermite row satisfies the predicate, so the
+    Hermite lattice H lies in L, and [Z^8 : H] = p^4 as well: H = L.  So a
+    product of basis matrices lies in the order exactly when it satisfies
+    the predicate, and so do psi(F) and psi(V)."""
     verify_psi_relations(p)
     rows, index = _congruence_lattice(p)
     _verify(index == p ** 4, "index is %d, expected p^4" % index)
-    order = OrderPresentation(
+    _verify(all(_congruent(x, p) for x in rows), "basis leaves the predicate")
+    table = tuple(tuple(_coord_mul(x, y) for y in rows) for x in rows)
+    _verify(all(_congruent(xy, p) for products in table for xy in products), "order not closed")
+    _verify(_congruent(psi_frobenius(p), p), "psi(F) is not in the order")
+    _verify(_congruent(psi_verschiebung(p), p), "psi(V) is not in the order")
+    return OrderPresentation(
         p=p,
         basis=rows,
         index=index,
         description="p | c and a = conj(d) (mod p) in M_2(Z[i])",
-        table=tuple(tuple(_coord_mul(x, y) for y in rows) for x in rows),
+        table=table,
     )
-    for x in rows:
-        _verify(_congruent(x, p), "basis leaves the predicate")
-    for products in order.table:
-        for prod in products:
-            _verify(_congruent(prod, p), "order not closed")
-            _verify(order.contains(prod), "product escapes the lattice")
-    # the generators psi(F), psi(V) lie in the order
-    _verify(order.contains(psi_frobenius(p)), "psi(F) is not in the order")
-    _verify(order.contains(psi_verschiebung(p)), "psi(V) is not in the order")
-    return order
 
 
 def endomorphism_order(p):
@@ -184,19 +199,24 @@ def endomorphism_order(p):
 
 
 def _center_lattice(order):
-    """Z-basis of the center of the order, in Hermite form: the z = sum t_j
-    b_j with [z, b_t] = sum t_j (b_j b_t - b_t b_j) = 0 for every basis
-    matrix b_t, read from the closure table."""
-    table = order.table
-    n = len(table)
-    equations = {
-        tuple(table[j][t][c] - table[t][j][c] for j in range(n))
-        for t in range(n)
-        for c in range(8)
-    }
-    equations.discard((0,) * n)
+    """Z-basis, in Hermite form, of the centralizer in the order of psi(F)
+    and diag(i, -i): the z = sum t_j b_j with [z, g] = sum t_j (b_j g -
+    g b_j) = 0 for both g, 16 equations from 32 products.
+
+    This is the center once it is seen to consist of scalars, as
+    `endomorphism_order` checks.  Proof.  Both psi(F) and diag(i, -i) lie
+    in the order (they satisfy its predicate; see `dieudonne_matrix_order`),
+    so the center lies in their centralizer; and scalar matrices commute
+    with every matrix, so a centralizer of scalars lies in the center."""
+    p = order.p
+    gens = (psi_frobenius(p), _DIAG_I)
+    _verify(all(_congruent(g, p) for g in gens), "centralizing generator not in the order")
+    columns = [
+        [u - v for g in gens for u, v in zip(_coord_mul(b, g), _coord_mul(g, b))]
+        for b in order.basis
+    ]
     out = []
-    for vec in kernel_basis(sorted(equations)):
+    for vec in kernel_basis(list(zip(*columns))):
         out.append(tuple(sum(c * b[j] for c, b in zip(vec, order.basis)) for j in range(8)))
     return tuple(hermite_rows(out))
 
@@ -252,6 +272,62 @@ def _line_seeds(action):
             yield [sum(map(mul, (1,) + tail, col)) % p for col in cols]
 
 
+def _paired_generator(action):
+    """A generator g with g^2 = -1 that every other generator commutes or
+    anticommutes with (mod p), or None; see `_cyclic_rows`."""
+    p, n = action.p, action.dim
+
+    def times(a, b):
+        return [[sum(map(mul, row, col)) % p for row in a] for col in zip(*b)]
+
+    # column j of g^2 is g applied to column j of g; most generators fail at
+    # the first column
+    minus_one = [[-int(i == j) % p for i in range(n)] for j in range(n)]
+    for g in action.generators:
+        if all([sum(map(mul, row, col)) % p for row in g] == m for col, m in zip(zip(*g), minus_one)):
+            for h in action.generators:
+                if h is not g:
+                    hg, gh = times(h, g), times(g, h)
+                    if hg != gh and hg != [[-x % p for x in col] for col in gh]:
+                        break
+            else:
+                return g
+    return None
+
+
+def _cyclic_rows(v, p, n, pair, others):
+    """Rows spanning the cyclic submodule C(v) mod p, each monic at its pivot
+    and reduced against the earlier ones; n rows mean C(v) is everything.
+
+    A new row w brings its images under `others` and, when `pair` is a
+    generator g with g^2 = -1 that every other generator h commutes or
+    anticommutes with, also g w; images of g w are never taken.  Proof that
+    the span S is still closed.  Every new row w's images g w and h w are
+    reduced into S, and the rows added for g w differ from it by earlier
+    rows, so S is spanned by the w and the g w.  Then g (g w) = -w, so S is
+    g-stable, and h (g w) = +-g (h w) lies in g S = S."""
+    rows, todo = [], [(v, True)]
+    while todo:
+        w, new = todo.pop()
+        for col, r in rows:
+            f = w[col] % p
+            if f:
+                w = [x - f * y for x, y in zip(w, r)]
+        col = next((j for j, x in enumerate(w) if x % p), None)
+        if col is None:
+            continue
+        inv = pow(w[col], -1, p)
+        w = [x * inv % p for x in w]
+        rows.append((col, w))
+        if len(rows) == n:
+            break
+        if new:
+            todo.extend(([sum(map(mul, row, w)) for row in g], True) for g in others)
+            if pair is not None:
+                todo.append(([sum(map(mul, row, w)) for row in pair], False))
+    return [r for _, r in rows]
+
+
 def enumerate_stable_lattices(action):
     """All subspaces of F_p^dim stable under every generator; returns
     (all_subspaces, proper_nontrivial), each as canonical echelon-row tuples.
@@ -277,27 +353,12 @@ def enumerate_stable_lattices(action):
         return tuple(tuple(r) for r in ech)
 
     full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    pair = _paired_generator(action)
+    others = [g for g in action.generators if g is not pair]
 
     def cyclic(v):
-        # rows monic at their pivots, each reduced against the earlier ones;
-        # every generator image of a new row is reduced the same way; n
-        # independent rows span everything
-        rows, todo = [], [v]
-        while todo:
-            w = todo.pop()
-            for col, r in rows:
-                f = w[col]
-                if f:
-                    w = [(x - f * y) % p for x, y in zip(w, r)]
-            col = next((j for j, x in enumerate(w) if x), None)
-            if col is not None:
-                inv = pow(w[col], -1, p)
-                w = [x * inv % p for x in w]
-                rows.append((col, w))
-                if len(rows) == n:
-                    return full
-                todo.extend(action.act(g, w) for g in action.generators)
-        return canon([r for _, r in rows])
+        rows = _cyclic_rows(v, p, n, pair, others)
+        return full if len(rows) == n else canon(rows)
 
     cyclics = {cyclic(v) for v in _line_seeds(action)}
     found = {()} | cyclics
@@ -380,8 +441,7 @@ def fiber_product_lattice(basis1, map1, basis2, map2, p, residue_dim):
     diff_rows = [list(r1) + [-c for c in r2] for r1, r2 in zip(map1, map2)]
     gens += nullspace_mod_p(diff_rows, p, n1 + n2)
     rows = tuple(hermite_rows(gens))
-    _verify(len(rows) == n1 + n2, "pullback is not of full rank")
-    index = abs(det(rows))
+    index = _hermite_index(rows, n1 + n2, "pullback")
     _verify(index == p ** m, "pullback index %d != p^%d" % (index, m))
     return FiberProductReport(
         basis=rows,

@@ -287,6 +287,27 @@ def test_large_prime_q_answers_quickly(capsys):
     assert code == 1 and set(doc) == {"schema", "command", "error"}
 
 
+@pytest.mark.parametrize("command", ("validate", "invariants"))
+def test_q_over_the_digit_cap_is_refused(capsys, command):
+    # 2^14285 has 4,301 decimal digits, one over what Python turns into a
+    # string by default; 2^14284 has 4,300 and still answers
+    for r in ("14285", "10" * 20):
+        start = time.perf_counter()
+        code, doc, _ = invoke(capsys, "--no-cache", command, "--p", "2", "--r", r, "--poly", "1,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert doc == {
+            "schema": "weilkit/1",
+            "command": command,
+            "error": "q = p^r has more than 4300 decimal digits",
+        }
+    code, doc, _ = invoke(capsys, "--no-cache", command, "--p", "2", "--r", "14284", "--poly", "1,1")
+    assert code == 2 and doc["q"] == 2 ** 14284
+    root = "--poly=%d,1" % -(2 ** 7142)  # x - sqrt q, a real Weil class
+    code, doc, _ = invoke(capsys, "--no-cache", command, "--p", "2", "--r", "14284", root)
+    assert code == 0 and doc["q"] == 2 ** 14284
+
+
 def test_enumerate_refuses_a_q_too_large_for_the_degree(tmp_path, capsys):
     # q = 9 up to degree 8 would list 2.4 million trace quartics; enumerate
     # and ingest refuse it at once, with exit 1 and one error document

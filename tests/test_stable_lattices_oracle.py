@@ -18,6 +18,7 @@ from weilkit.intmatrix import rref_mod_p
 from weilkit.supersingular import (
     LatticeModP,
     _line_seeds,
+    _paired_generator,
     enumerate_stable_lattices,
     standard_module_action,
 )
@@ -261,3 +262,75 @@ def test_line_path_needs_p_3_mod_4():
     all_subspaces, proper = enumerate_stable_lattices(action)
     assert all_subspaces == brute_force_stable_lattices(action)[0]
     assert proper == [((1, 2),), ((1, 3),)]
+
+
+def _mat_mul(a, b, p):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a)
+
+
+def _paired_action(rng):
+    """An action with a generator g, g^2 = -1 (J blocks conjugated by a
+    random invertible matrix), and others that commute with g, anticommute
+    with it, or do neither: X - g X g commutes and X + g X g anticommutes."""
+    p, dim = rng.choice(((3, 2), (5, 2), (7, 2), (3, 4), (5, 2), (3, 4)))
+    while True:
+        conj = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
+        ech, _ = rref_mod_p([row + [int(i == j) for j in range(dim)] for i, row in enumerate(conj)], p)
+        if len(ech) == dim and all(r[i] == 1 for i, r in enumerate(ech)):
+            inverse = [r[dim:] for r in ech]
+            break
+    blocks = [[0] * dim for _ in range(dim)]
+    for k in range(0, dim, 2):
+        blocks[k][k + 1], blocks[k + 1][k] = p - 1, 1
+    g = _mat_mul(_mat_mul(conj, blocks, p), inverse, p)
+    gens = [g]
+    kinds = []
+    for _ in range(rng.randint(1, 3)):
+        x = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(dim)] for _ in range(dim)]
+        gxg = _mat_mul(_mat_mul(g, x, p), g, p)
+        kind = rng.choice(("commutes", "anticommutes", "neither"))
+        sign = {"commutes": -1, "anticommutes": 1, "neither": 0}[kind]
+        gens.append(tuple(tuple((a + sign * b) % p for a, b in zip(r, s)) for r, s in zip(x, gxg)))
+        kinds.append(kind)
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    return LatticeModP(p=p, dim=dim, generators=tuple(gens[i] for i in order)), g, kinds
+
+
+def test_paired_closure_matches_brute_force():
+    """The closure pairs rows with g only when every other generator
+    commutes or anticommutes with it; either way the lattices are the brute
+    force's."""
+    rng = random.Random(7013)
+    seen = set()
+    for _ in range(60):
+        action, g, kinds = _paired_action(rng)
+        pair = _paired_generator(action)
+        others = [h for h in action.generators if h is not g]
+        ok = all(
+            _mat_mul(h, g, action.p) in (_mat_mul(g, h, action.p),
+                                         tuple(tuple(-x % action.p for x in r) for r in _mat_mul(g, h, action.p)))
+            for h in others
+        )
+        if ok:
+            assert pair is not None
+            square = _mat_mul(pair, pair, action.p)
+            assert square == tuple(tuple(-int(i == j) % action.p for j in range(action.dim))
+                                   for i in range(action.dim))
+        else:
+            assert pair is None or pair is not g
+        seen.add((ok, "neither" in kinds))
+        assert enumerate_stable_lattices(action) == brute_force_stable_lattices(action), action
+    assert (True, False) in seen and (False, True) in seen
+
+
+def test_paired_generator_of_the_standard_module_is_the_scalar_i():
+    for p in (3, 7, 11):
+        action = standard_module_action(p)
+        assert _paired_generator(action) is action.generators[2]
+    # a rank-one map that neither commutes nor anticommutes with j: no pairing
+    action = LatticeModP(p=3, dim=2, generators=(((1, 2), (0, 0)), _j(3)))
+    assert _paired_generator(action) is None
+    # at p = 5 the pairing still holds: it does not need x^2 + 1 irreducible
+    action = LatticeModP(p=5, dim=2, generators=(_j(5),))
+    assert _paired_generator(action) == _j(5)
