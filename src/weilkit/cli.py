@@ -44,7 +44,7 @@ from .supersingular import (
 from .weil import GlobalContext, NotWeilError, enumerate_weil, validate_weil, weil_set
 
 SCHEMA = "weilkit/1"
-# example-sec9 closes p^2 + 1 cyclic submodules: 0.38-0.44 s at p = 127 (one Xeon vCPU, Python 3.11)
+# example-sec9 closes p^2 + 1 cyclic submodules: 0.30-0.44 s at p = 127 (one Xeon vCPU, Python 3.11)
 SEC9_MAX_P = 127
 # enumerate and ingest refuse a degree bound 2g with about 2^(g+1) q^(g(g+1)/4)
 # classes (within 30% from (2, 8) to (256, 4)) over this: (4, 8) has 33,441, in

@@ -15,15 +15,19 @@ over a few repetitions, of the four stages of `cli.cmd_example_sec9`:
 - fiber: `glued_lattice(p, order)`, the fiber product and its cross-check;
 
 then the enumeration once more with the pairing of `_cyclic_rows` switched
-off (unpaired), and the work of one enumeration: the cyclic closures it runs and the
-generator products they take (one per image of a row under a generator),
-with whether the closure pairs rows with a square root of -1.  The counts
-come from an untimed run.
+off (unpaired_ms), and the work of one enumeration: the cyclic closures it
+runs and the generator products they take (one per image of a row under a
+generator), with and without the pairing, and whether the closure pairs
+rows with a square root of -1.  The counts come from untimed runs.  The
+pairing is worth keeping only while lattices_ms stays at or below
+unpaired_ms at p = 3; the stages run one after another, so compare them
+over a few runs.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from time import perf_counter
 
 from weilkit import supersingular
@@ -60,8 +64,19 @@ class CountedMatrix(tuple):
         return super().__iter__()
 
 
+@contextmanager
+def unpaired():
+    """The closure with the pairing of `_cyclic_rows` switched off."""
+    original = supersingular._paired_generator
+    supersingular._paired_generator = lambda action: None
+    try:
+        yield
+    finally:
+        supersingular._paired_generator = original
+
+
 def work(p):
-    """(closures, generator products, paired) of one enumeration."""
+    """(closures, generator products) of one enumeration."""
     original = supersingular._cyclic_rows
     closures = 0
 
@@ -71,41 +86,34 @@ def work(p):
         pair = None if pair is None else CountedMatrix(pair)
         return original(v, p, n, pair, [CountedMatrix(g) for g in others])
 
-    action = standard_module_action(p)
-    paired = supersingular._paired_generator(action) is not None
     CountedMatrix.reads = 0
     supersingular._cyclic_rows = counted
     try:
-        supersingular.enumerate_stable_lattices(action)
+        supersingular.enumerate_stable_lattices(standard_module_action(p))
     finally:
         supersingular._cyclic_rows = original
-    return closures, CountedMatrix.reads, paired
-
-
-def unpaired_ms(p):
-    original = supersingular._paired_generator
-    supersingular._paired_generator = lambda action: None
-    try:
-        return best_ms(lambda: lattice_class_count(p))
-    finally:
-        supersingular._paired_generator = original
+    return closures, CountedMatrix.reads
 
 
 def main(primes):
-    print("%5s %9s %9s %11s %9s %11s %9s %9s %7s" % (
+    print("%5s %9s %9s %11s %9s %11s %9s %9s %9s %7s" % (
         "p", "order_ms", "center_ms", "lattices_ms", "fiber_ms", "unpaired_ms",
-        "closures", "products", "paired"))
+        "closures", "products", "unpaired", "paired"))
     for p in primes:
         order = dieudonne_matrix_order(p)
-        times = (
+        times = [
             best_ms(lambda: dieudonne_matrix_order(p)),
             best_ms(lambda: _center_lattice(order)),
             best_ms(lambda: lattice_class_count(p)),
             best_ms(lambda: glued_lattice(p, order)),
-            unpaired_ms(p),
-        )
-        closures, products, paired = work(p)
-        print("%5d %9.3f %9.3f %11.3f %9.3f %11.3f %9d %9d %7s" % ((p,) + times + (closures, products, paired)))
+        ]
+        closures, products = work(p)
+        with unpaired():
+            times.append(best_ms(lambda: lattice_class_count(p)))
+            _, unpaired_products = work(p)
+        paired = supersingular._paired_generator(standard_module_action(p)) is not None
+        print("%5d %9.3f %9.3f %11.3f %9.3f %11.3f %9d %9d %9d %7s" % (
+            p, *times, closures, products, unpaired_products, paired))
 
 
 if __name__ == "__main__":
